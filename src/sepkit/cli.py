@@ -16,7 +16,8 @@ from pathlib import Path
 from .dualgraph import has_errors, parse_graph, serialize_graph, validate_indices
 from .errors import BadParams, SepkitError, ValidationFailed
 from .fixtures import generate_example
-from .report import analyze, render_certificate_text, render_report_text
+from .report import (analyze, render_certificate_text, render_finding_text,
+                     render_report_text)
 from .verdict import subcurve_criterion, toma_prune, verdict
 
 
@@ -37,19 +38,15 @@ def _to_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _findings_obj(findings) -> dict:
+def _emit_findings(findings, args):
     errors = sum(1 for f in findings if f.severity == "error")
-    return {"findings": [f.to_json() for f in findings], "errors": errors}
-
-
-def _findings_text(obj: dict) -> str:
-    lines = []
-    for f in obj["findings"]:
-        where = f" [{f['component']}]" if f.get("component") else ""
-        lines.append(f"{f['severity']} {f['code']}{where}: {f['message']}")
-    lines.append(f"{obj['errors']} error(s), "
-                 f"{len(obj['findings']) - obj['errors']} other finding(s)")
-    return "\n".join(lines) + "\n"
+    if args.format == "json":
+        obj = {"findings": [f.to_json() for f in findings], "errors": errors}
+        _emit(_to_json(obj), args.output)
+        return
+    lines = [render_finding_text(f.to_json()) for f in findings]
+    lines.append(f"{errors} error(s), {len(findings) - errors} other finding(s)")
+    _emit("\n".join(lines) + "\n", args.output)
 
 
 def _split_keep(raw: str | None):
@@ -61,9 +58,7 @@ def _split_keep(raw: str | None):
 def _cmd_validate(args) -> int:
     g = parse_graph(_read_input(args.input))
     findings = validate_indices(g)
-    obj = _findings_obj(findings)
-    text = _to_json(obj) if args.format == "json" else _findings_text(obj)
-    _emit(text, args.output)
+    _emit_findings(findings, args)
     return 1 if has_errors(findings) else 0
 
 
@@ -101,9 +96,7 @@ def _cmd_verdict(args) -> int:
         else:
             certificate = verdict(g)
     except ValidationFailed as exc:
-        obj = _findings_obj(exc.findings)
-        text = _to_json(obj) if args.format == "json" else _findings_text(obj)
-        _emit(text, args.output)
+        _emit_findings(exc.findings, args)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     obj = certificate.to_json()

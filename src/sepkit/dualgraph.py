@@ -113,12 +113,6 @@ class GorensteinData:
     k: int
     a: tuple[tuple[str, int], ...]
 
-    def coefficient(self, component_id: str) -> int:
-        for cid, value in self.a:
-            if cid == component_id:
-                return value
-        raise UnknownId(f"no gorenstein coefficient for {component_id}")
-
 
 @dataclass(frozen=True)
 class DualGraph:
@@ -127,29 +121,6 @@ class DualGraph:
     crossings: tuple[Crossing, ...]
     gorenstein: GorensteinData | None = None
     closed_world: bool = False
-
-    def index_of(self, component_id: str) -> int:
-        for i, comp in enumerate(self.components):
-            if comp.id == component_id:
-                return i
-        raise UnknownId(f"unknown component id: {component_id}")
-
-    def component(self, component_id: str) -> Component:
-        return self.components[self.index_of(component_id)]
-
-    def crossings_at(self, component_id: str) -> list[tuple[int, Crossing]]:
-        return [
-            (i, c)
-            for i, c in enumerate(self.crossings)
-            if component_id in (c.tail, c.head)
-        ]
-
-    def host_of_singularity(self, singularity_id: str) -> Component:
-        for comp in self.components:
-            for sing in comp.smooth_singularities:
-                if sing.id == singularity_id:
-                    return comp
-        raise UnknownId(f"unknown singularity id: {singularity_id}")
 
     def all_smooth_singularities(self) -> list[tuple[Component, SmoothSingularity]]:
         return [
@@ -467,6 +438,10 @@ def validate_indices(g: DualGraph) -> list[Finding]:
     """
     findings: list[Finding] = []
     field = g.field
+    incident: dict[str, list[Crossing]] = {comp.id: [] for comp in g.components}
+    for crossing in g.crossings:
+        incident[crossing.tail].append(crossing)
+        incident[crossing.head].append(crossing)
 
     if g.closed_world:
         for comp in g.components:
@@ -481,7 +456,7 @@ def validate_indices(g: DualGraph) -> list[Finding]:
     for comp in g.components:
         total = field.zero()
         unknown = 0
-        for idx, crossing in g.crossings_at(comp.id):
+        for crossing in incident[comp.id]:
             value = crossing.cs_on(comp.id, field)
             if value is None:
                 unknown += 1
@@ -541,7 +516,7 @@ def validate_indices(g: DualGraph) -> list[Finding]:
                 ))
 
     for comp in g.components:
-        z = len(g.crossings_at(comp.id)) + len(comp.smooth_singularities)
+        z = len(incident[comp.id]) + len(comp.smooth_singularities)
         findings.append(Finding(
             "info", "component-degree",
             f"{comp.id}: {z} singular point(s); implied normal bundle "

@@ -260,7 +260,11 @@ def residual_divisor(g: DualGraph) -> ResidualDivisor:
         raise SaddleNodePresent(
             "residue propagation is undefined across saddle-node crossings"
         )
-    rep = representation_class(g)
+    return _propagate_residues(g, representation_class(g))
+
+
+def _propagate_residues(g: DualGraph, rep: RepresentationClass) -> ResidualDivisor:
+    """residual_divisor given the representation of g, already classified."""
     if rep.kind != TRIVIAL:
         raise NontrivialRepresentation(
             f"residual divisor requires a trivial representation, got {rep.kind}"

@@ -136,7 +136,13 @@ def divisor_pairing(g: DualGraph, coefficients: Divisor) -> dict[str, FieldEleme
     Component ids pair through the intersection matrix.  Separatrix germ
     ids pair 1 with their host component and 0 with every other one.
     """
-    matrix = intersection_matrix(g)
+    return _pair_with(g, intersection_matrix(g), coefficients)
+
+
+def _pair_with(
+    g: DualGraph, matrix: IntersectionMatrix, coefficients: Divisor
+) -> dict[str, FieldElement]:
+    """divisor_pairing given the intersection matrix of g, already built."""
     index = {cid: i for i, cid in enumerate(matrix.component_order)}
     host_index: dict[str, int] = {}
     for comp in g.components:

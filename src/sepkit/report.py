@@ -6,9 +6,8 @@ import hashlib
 import json
 
 from .dualgraph import DualGraph, has_errors, serialize_graph, validate_indices
-from .holonomy import TRIVIAL, representation_class, residual_divisor
-from .intersection import definiteness, intersection_matrix
-from .verdict import certificate_for
+from .holonomy import TRIVIAL
+from .verdict import GraphAnalysis, certify
 
 
 def _digest(data: bytes) -> str:
@@ -29,23 +28,22 @@ def analyze(g: DualGraph, source: bytes | None = None) -> dict:
     if source is None:
         source = serialize_graph(g).encode("utf-8")
     findings = validate_indices(g)
-    matrix = intersection_matrix(g)
-    rep = representation_class(g)
+    a = GraphAnalysis(g)
 
     residual = None
-    if rep.kind == TRIVIAL and not g.has_saddle_node_crossing():
-        residual = residual_divisor(g).to_json()
+    if a.representation.kind == TRIVIAL and not g.has_saddle_node_crossing():
+        residual = a.residual.to_json()
 
     certificate = None
     if not has_errors(findings):
-        certificate = certificate_for(g).to_json()
+        certificate = certify(a).to_json()
 
     return {
         "input_digest": _digest(source),
         "findings": [f.to_json() for f in findings],
-        "intersection_matrix": matrix.to_json(),
-        "definiteness": definiteness(matrix).to_json(),
-        "representation": rep.to_json(),
+        "intersection_matrix": a.matrix.to_json(),
+        "definiteness": a.form.to_json(),
+        "representation": a.representation.to_json(),
         "residual_divisor": residual,
         "certificate": certificate,
     }
@@ -60,15 +58,19 @@ def _format_value(value) -> str:
     return json.dumps(value, sort_keys=True) if isinstance(value, dict) else str(value)
 
 
+def render_finding_text(finding: dict) -> str:
+    """One validation finding, as one line without its newline."""
+    where = f" [{finding['component']}]" if finding.get("component") else ""
+    return f"{finding['severity']} {finding['code']}{where}: {finding['message']}"
+
+
 def render_report_text(report: dict) -> str:
     """Human-readable rendering of an analysis report."""
     lines = [f"input {report['input_digest']}"]
 
     findings = report["findings"]
     lines.append(f"findings: {len(findings)}")
-    for f in findings:
-        where = f" [{f['component']}]" if f.get("component") else ""
-        lines.append(f"  {f['severity']} {f['code']}{where}: {f['message']}")
+    lines.extend("  " + render_finding_text(f) for f in findings)
 
     matrix = report["intersection_matrix"]
     lines.append("intersection matrix (" + ", ".join(matrix["components"]) + "):")

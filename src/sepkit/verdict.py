@@ -30,6 +30,7 @@ independently re-checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .dualgraph import (
     CUT_PREFIX,
@@ -37,6 +38,7 @@ from .dualgraph import (
     SADDLE_NODE,
     SN_WEAK_ON_CURVE,
     DualGraph,
+    SmoothSingularity,
     has_errors,
     induced_subcurve,
     validate_indices,
@@ -53,11 +55,11 @@ from .holonomy import (
     TORSION,
     TRIVIAL,
     INFINITE,
+    _propagate_residues,
     cycle_basis,
     representation_class,
-    residual_divisor,
 )
-from .intersection import definiteness, divisor_pairing, intersection_matrix
+from .intersection import _pair_with, definiteness, intersection_matrix
 
 SEPARATRIX_EXISTS = "separatrix_exists"
 NOT_GUARANTEED = "not_guaranteed"
@@ -118,8 +120,70 @@ class Certificate:
 
 
 # ---------------------------------------------------------------------------
-# Named checks.  Each takes the graph alone and returns (ok, evidence); a
-# certificate entry is re-verified by running the check of the same name.
+# One analysis per graph
+
+
+class GraphAnalysis:
+    """The whole-graph facts that the checks read, each computed at most once.
+
+    One analysis is built per verdict, analyze or subcurve criterion and
+    lives only as long as that call; nothing is shared between analyses.
+    Facts are computed lazily by the layer functions, looked up in this
+    module at call time, so a profiler that wraps those names sees them.
+    """
+
+    def __init__(self, graph: DualGraph):
+        self.graph = graph
+
+    @cached_property
+    def representation(self):
+        return representation_class(self.graph)
+
+    @cached_property
+    def matrix(self):
+        return intersection_matrix(self.graph)
+
+    @cached_property
+    def form(self):
+        return definiteness(self.matrix)
+
+    @cached_property
+    def residual(self):
+        """Needs a trivial representation and no saddle-node crossing."""
+        return _propagate_residues(self.graph, self.representation)
+
+    @cached_property
+    def count_bound(self) -> SeparatrixBound:
+        """The separatrix count bound; HypothesisUnmet names a failed gate."""
+        _require(self, "representation_trivial", "matrix_invertible",
+                 "no_weak_separatrix_on_curve")
+        values = [value for _, value in self.residual.residues]
+        values.extend(value for _, value in self.residual.separatrix_residues)
+        declared = sum(
+            1 for _, s in self.graph.all_smooth_singularities()
+            if s.has_transverse_separatrix
+        )
+        return SeparatrixBound(declared, rational_span_dimension(values))
+
+    @cached_property
+    def gorenstein_pairings(self) -> dict[str, FieldElement]:
+        g = self.graph
+        k = g.gorenstein.k
+        coeffs = {cid: g.field.from_rational(a - k) for cid, a in g.gorenstein.a}
+        return _pair_with(g, self.matrix, coeffs)
+
+
+def _require(a: GraphAnalysis, *names: str):
+    for name in names:
+        ok, evidence = CHECKS[name](a)
+        if not ok:
+            raise HypothesisUnmet(name, evidence)
+
+
+# ---------------------------------------------------------------------------
+# Named checks.  Each takes the analysis of one graph and returns
+# (ok, evidence); a certificate entry is re-verified by running the check
+# of the same name.
 
 
 def _rep_evidence(rep) -> str:
@@ -131,37 +195,32 @@ def _rep_evidence(rep) -> str:
     return f"representation kind is {rep.kind}"
 
 
-def check_dual_graph_is_tree(g: DualGraph):
-    basis = cycle_basis(g)
-    return not basis.cycles, (
+def check_dual_graph_is_tree(a: GraphAnalysis):
+    g, cycles = a.graph, a.representation.basis.cycles
+    return not cycles, (
         f"{len(g.components)} component(s), {len(g.crossings)} crossing(s), "
-        f"{len(basis.cycles)} independent cycle(s)"
+        f"{len(cycles)} independent cycle(s)"
     )
 
 
-def check_representation_trivial(g: DualGraph):
-    rep = representation_class(g)
-    return rep.kind == TRIVIAL, _rep_evidence(rep)
+def _representation_checks():
+    """The entries representation_<kind> for the kinds a rule can require."""
+    for kind in (TRIVIAL, TORSION, INFINITE):
+        def check(a: GraphAnalysis, kind=kind):
+            return a.representation.kind == kind, _rep_evidence(a.representation)
+        yield f"representation_{kind}", check
 
 
-def check_representation_torsion(g: DualGraph):
-    rep = representation_class(g)
-    return rep.kind == TORSION, _rep_evidence(rep)
-
-
-def check_representation_infinite(g: DualGraph):
-    rep = representation_class(g)
-    return rep.kind == INFINITE, _rep_evidence(rep)
-
-
-def check_crossings_nondegenerate(g: DualGraph):
+def check_crossings_nondegenerate(a: GraphAnalysis):
+    g = a.graph
     bad = [i for i, c in enumerate(g.crossings) if c.kind != NONDEGENERATE]
     if bad:
         return False, f"saddle-node crossing(s) at index(es) {bad}"
     return True, f"all {len(g.crossings)} crossing(s) nondegenerate"
 
 
-def check_no_saddle_node(g: DualGraph):
+def check_no_saddle_node(a: GraphAnalysis):
+    g = a.graph
     bad_crossings = [i for i, c in enumerate(g.crossings) if c.kind == SADDLE_NODE]
     bad_sings = [
         s.id for _, s in g.all_smooth_singularities() if s.kind != NONDEGENERATE
@@ -172,26 +231,26 @@ def check_no_saddle_node(g: DualGraph):
     return True, "no saddle-node at any singular point"
 
 
-def check_matrix_negative_definite(g: DualGraph):
-    d = definiteness(intersection_matrix(g))
+def check_matrix_negative_definite(a: GraphAnalysis):
+    d = a.form
     return d.negative_definite, (
         f"negative definite: {d.negative_definite}; determinant {d.determinant}"
     )
 
 
-def check_matrix_invertible(g: DualGraph):
-    d = definiteness(intersection_matrix(g))
-    return d.invertible, f"determinant {d.determinant}"
+def check_matrix_invertible(a: GraphAnalysis):
+    return a.form.invertible, f"determinant {a.form.determinant}"
 
 
-def check_smooth_singularity_declared(g: DualGraph):
-    n = len(g.all_smooth_singularities())
+def check_smooth_singularity_declared(a: GraphAnalysis):
+    n = len(a.graph.all_smooth_singularities())
     return n > 0, f"{n} smooth-point singularity(ies) declared"
 
 
-def check_no_weak_separatrix_on_curve(g: DualGraph):
+def check_no_weak_separatrix_on_curve(a: GraphAnalysis):
     # The weak side of a saddle-node crossing is itself a branch of the
     # curve, so any saddle-node crossing violates the hypothesis too.
+    g = a.graph
     crossings = [i for i, c in enumerate(g.crossings) if c.kind == SADDLE_NODE]
     sings = [
         s.id for _, s in g.all_smooth_singularities() if s.kind == SN_WEAK_ON_CURVE
@@ -202,26 +261,18 @@ def check_no_weak_separatrix_on_curve(g: DualGraph):
     return True, "no saddle-node has its weak separatrix along the curve"
 
 
-def check_gorenstein_data_present(g: DualGraph):
-    if g.gorenstein is None:
+def check_gorenstein_data_present(a: GraphAnalysis):
+    if a.graph.gorenstein is None:
         return False, "no gorenstein data declared"
-    return True, f"declared k = {g.gorenstein.k}"
+    return True, f"declared k = {a.graph.gorenstein.k}"
 
 
-def _gorenstein_pairings(g: DualGraph) -> dict[str, FieldElement]:
-    k = g.gorenstein.k
-    coeffs = {
-        cid: g.field.from_rational(a - k) for cid, a in g.gorenstein.a
-    }
-    return divisor_pairing(g, coeffs)
-
-
-def check_gorenstein_divisor_orthogonal(g: DualGraph):
-    if g.gorenstein is None:
+def check_gorenstein_divisor_orthogonal(a: GraphAnalysis):
+    if a.graph.gorenstein is None:
         return False, "no gorenstein data declared"
     bad = [
         (cid, value)
-        for cid, value in _gorenstein_pairings(g).items()
+        for cid, value in a.gorenstein_pairings.items()
         if not value.is_zero
     ]
     if bad:
@@ -230,10 +281,11 @@ def check_gorenstein_divisor_orthogonal(g: DualGraph):
     return True, "the divisor sum((a_i - k) E_i) pairs to 0 with every component"
 
 
-def check_gorenstein_holonomy_power_trivial(g: DualGraph):
+def check_gorenstein_holonomy_power_trivial(a: GraphAnalysis):
+    g = a.graph
     if g.gorenstein is None:
         return False, "no gorenstein data declared"
-    rep = representation_class(g)
+    rep = a.representation
     if rep.offending_cycles:
         return False, _rep_evidence(rep)
     k = g.gorenstein.k
@@ -244,19 +296,19 @@ def check_gorenstein_holonomy_power_trivial(g: DualGraph):
     return True, f"every cycle holonomy raised to {k} equals 1"
 
 
-def check_closed_world_declared(g: DualGraph):
-    if not g.closed_world:
+def check_closed_world_declared(a: GraphAnalysis):
+    if not a.graph.closed_world:
         return False, "the input does not declare the closed-world flag"
-    n = len(g.all_smooth_singularities())
+    n = len(a.graph.all_smooth_singularities())
     if n:
         return False, (f"closed_world is set but {n} smooth-point "
                        "singularity(ies) are declared")
     return True, "declared: no singularities away from the crossings"
 
 
-def check_declared_count_sufficient(g: DualGraph):
+def check_declared_count_sufficient(a: GraphAnalysis):
     try:
-        bound = separatrix_bound(g)
+        bound = a.count_bound
     except HypothesisUnmet as exc:
         return False, f"count bound unavailable: {exc}"
     relation = ">=" if bound.consistent else "<"
@@ -268,9 +320,7 @@ def check_declared_count_sufficient(g: DualGraph):
 
 CHECKS = {
     "dual_graph_is_tree": check_dual_graph_is_tree,
-    "representation_trivial": check_representation_trivial,
-    "representation_torsion": check_representation_torsion,
-    "representation_infinite": check_representation_infinite,
+    **dict(_representation_checks()),
     "crossings_nondegenerate": check_crossings_nondegenerate,
     "no_saddle_node": check_no_saddle_node,
     "matrix_negative_definite": check_matrix_negative_definite,
@@ -286,11 +336,15 @@ CHECKS = {
 
 
 def run_check(g: DualGraph, name: str) -> tuple[bool, str]:
-    """Re-run a named check; reproduces the status recorded in a certificate."""
+    """Re-run a named check on a fresh analysis of g.
+
+    Reproduces the status recorded in a certificate without reusing
+    anything computed while the certificate was made.
+    """
     fn = CHECKS.get(name)
     if fn is None:
         raise ValueError(f"unknown check: {name}")
-    return fn(g)
+    return fn(GraphAnalysis(g))
 
 
 # ---------------------------------------------------------------------------
@@ -374,24 +428,7 @@ def separatrix_bound(g: DualGraph) -> SeparatrixBound:
     germ residues, which the declared germ count must meet or exceed on
     consistent input.
     """
-    ok, evidence = check_representation_trivial(g)
-    if not ok:
-        raise HypothesisUnmet("representation_trivial", evidence)
-    ok, evidence = check_matrix_invertible(g)
-    if not ok:
-        raise HypothesisUnmet("matrix_invertible", evidence)
-    ok, evidence = check_no_weak_separatrix_on_curve(g)
-    if not ok:
-        raise HypothesisUnmet("no_weak_separatrix_on_curve", evidence)
-
-    divisor = residual_divisor(g)
-    values = [value for _, value in divisor.residues]
-    values.extend(value for _, value in divisor.separatrix_residues)
-    lower = rational_span_dimension(values)
-    declared = sum(
-        1 for _, s in g.all_smooth_singularities() if s.has_transverse_separatrix
-    )
-    return SeparatrixBound(declared, lower)
+    return GraphAnalysis(g).count_bound
 
 
 # ---------------------------------------------------------------------------
@@ -421,80 +458,65 @@ class GorensteinReduction:
 
 
 def gorenstein_reduce(g: DualGraph) -> GorensteinReduction:
-    ok, evidence = check_gorenstein_data_present(g)
-    if not ok:
-        raise HypothesisUnmet("gorenstein_data_present", evidence)
-    ok, evidence = check_no_saddle_node(g)
-    if not ok:
-        raise HypothesisUnmet("no_saddle_node", evidence)
-    ok, evidence = check_matrix_negative_definite(g)
-    if not ok:
-        raise HypothesisUnmet("matrix_negative_definite", evidence)
-
-    ok, evidence = check_gorenstein_divisor_orthogonal(g)
+    a = GraphAnalysis(g)
+    _require(a, "gorenstein_data_present", "no_saddle_node",
+             "matrix_negative_definite")
+    ok, evidence = check_gorenstein_divisor_orthogonal(a)
     if not ok:
         raise GorensteinInconsistent(
             f"the declared coefficients are impossible: {evidence}"
         )
+    ok, _ = check_gorenstein_holonomy_power_trivial(a)
+    return _forced_reduction(g, ok)
+
+
+def _forced_reduction(g: DualGraph, power_trivial: bool) -> GorensteinReduction:
+    """The reduction, once the divisor pairs to 0 over a negative definite matrix."""
     k = g.gorenstein.k
     if any(a != k for _, a in g.gorenstein.a):
         # Orthogonality over a negative definite matrix already forces
         # a_i = k, so reaching this line means the pairing lied.
         raise RuntimeError("internal error: divisor orthogonal to a negative "
                            "definite lattice but not zero")
-    ok, _ = check_gorenstein_holonomy_power_trivial(g)
-    return GorensteinReduction(k, k, ok)
+    return GorensteinReduction(k, k, power_trivial)
 
 
 # ---------------------------------------------------------------------------
 # Subcurve criterion
 
 
-def _subcurve_attachments(sub: DualGraph):
-    return [
-        (comp, s)
-        for comp, s in sub.all_smooth_singularities()
-        if s.id.startswith(CUT_PREFIX)
-    ]
+def _subcurve_attachments(sub: DualGraph) -> list[SmoothSingularity]:
+    return [s for _, s in sub.all_smooth_singularities() if s.id.startswith(CUT_PREFIX)]
 
 
-def subcurve_internal_crossings_nondegenerate(ambient: DualGraph, keep):
-    return check_crossings_nondegenerate(induced_subcurve(ambient, keep))
-
-
-def subcurve_attachment_indices_vanish(ambient: DualGraph, keep):
-    sub = induced_subcurve(ambient, keep)
-    attachments = _subcurve_attachments(sub)
-    bad = [
-        s.id for _, s in attachments if s.cs is None or not s.cs.is_zero
-    ]
+def subcurve_attachment_indices_vanish(sub: GraphAnalysis):
+    attachments = _subcurve_attachments(sub.graph)
+    bad = [s.id for s in attachments if s.cs is None or not s.cs.is_zero]
     if bad:
         return False, f"attachment index nonzero or unknown at {bad}"
     return True, f"all {len(attachments)} attachment point(s) have index 0"
 
 
-def subcurve_induced_representation_trivial(ambient: DualGraph, keep):
-    rep = representation_class(induced_subcurve(ambient, keep))
-    return rep.kind == TRIVIAL, _rep_evidence(rep)
+SUBCURVE = "subcurve"
+AMBIENT = "ambient"
 
-
-def subcurve_ambient_matrix_negative_definite(ambient: DualGraph, keep):
-    return check_matrix_negative_definite(ambient)
-
-
+# Each subcurve check is a graph check run on one of the two graphs.
 SUBCURVE_CHECKS = {
-    "internal_crossings_nondegenerate": subcurve_internal_crossings_nondegenerate,
-    "attachment_indices_vanish": subcurve_attachment_indices_vanish,
-    "induced_representation_trivial": subcurve_induced_representation_trivial,
-    "ambient_matrix_negative_definite": subcurve_ambient_matrix_negative_definite,
+    "internal_crossings_nondegenerate": (SUBCURVE, check_crossings_nondegenerate),
+    "attachment_indices_vanish": (SUBCURVE, subcurve_attachment_indices_vanish),
+    "induced_representation_trivial": (SUBCURVE, CHECKS["representation_trivial"]),
+    "ambient_matrix_negative_definite": (AMBIENT, check_matrix_negative_definite),
 }
 
 
 def run_subcurve_check(ambient: DualGraph, keep, name: str) -> tuple[bool, str]:
-    fn = SUBCURVE_CHECKS.get(name)
-    if fn is None:
+    """Re-run a named subcurve check on a fresh analysis, like run_check."""
+    entry = SUBCURVE_CHECKS.get(name)
+    if entry is None:
         raise ValueError(f"unknown subcurve check: {name}")
-    return fn(ambient, keep)
+    on, fn = entry
+    g = ambient if on == AMBIENT else induced_subcurve(ambient, keep)
+    return fn(GraphAnalysis(g))
 
 
 def subcurve_criterion(ambient: DualGraph, keep) -> Certificate:
@@ -506,32 +528,25 @@ def subcurve_criterion(ambient: DualGraph, keep) -> Certificate:
     is trivial, inside an ambient exceptional configuration.
     """
     sub = induced_subcurve(ambient, keep)  # raises on a bad selection
-    kept = [c.id for c in sub.components]
+    analyses = {SUBCURVE: GraphAnalysis(sub), AMBIENT: GraphAnalysis(ambient)}
 
     hypotheses = []
     all_ok = True
-    for name in (
-        "internal_crossings_nondegenerate",
-        "attachment_indices_vanish",
-        "induced_representation_trivial",
-        "ambient_matrix_negative_definite",
-    ):
-        ok, evidence = SUBCURVE_CHECKS[name](ambient, keep)
+    for name, (on, fn) in SUBCURVE_CHECKS.items():
+        ok, evidence = fn(analyses[on])
         all_ok = all_ok and ok
         hypotheses.append(Hypothesis(
             f"{RULE_SUBCURVE}.{name}", SATISFIED if ok else FAILED, evidence
         ))
 
-    attachments = [s.id for _, s in _subcurve_attachments(sub)]
+    witnesses = {
+        "kept_components": [c.id for c in sub.components],
+        "attachments": [s.id for s in _subcurve_attachments(sub)],
+    }
     if all_ok:
-        return Certificate(
-            SEPARATRIX_EXISTS, RULE_SUBCURVE, tuple(hypotheses),
-            {"kept_components": kept, "attachments": attachments},
-        )
-    return Certificate(
-        NOT_GUARANTEED, RULE_NONE, tuple(hypotheses),
-        {"kept_components": kept, "attachments": attachments},
-    )
+        return Certificate(SEPARATRIX_EXISTS, RULE_SUBCURVE, tuple(hypotheses),
+                           witnesses)
+    return Certificate(NOT_GUARANTEED, RULE_NONE, tuple(hypotheses), witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +567,16 @@ def certificate_for(g: DualGraph) -> Certificate:
     Exposed separately so defensive branches (which consistent inputs
     cannot reach) stay testable; use verdict() for real inputs.
     """
+    return certify(GraphAnalysis(g))
+
+
+def certify(a: GraphAnalysis) -> Certificate:
+    """certificate_for on an analysis the caller also reads from."""
+    g = a.graph
     trail: list[Hypothesis] = []
 
     def run(prefix: str, name: str) -> bool:
-        ok, evidence = CHECKS[name](g)
+        ok, evidence = CHECKS[name](a)
         trail.append(Hypothesis(
             f"{prefix}.{name}", SATISFIED if ok else FAILED, evidence
         ))
@@ -591,19 +612,12 @@ def certificate_for(g: DualGraph) -> Certificate:
         invertible = run(COUNT_BOUND, "matrix_invertible")
         no_weak = run(COUNT_BOUND, "no_weak_separatrix_on_curve")
         if invertible and no_weak:
-            bound = separatrix_bound(g)
-            relation = ">=" if bound.consistent else "<"
-            trail.append(Hypothesis(
-                f"{COUNT_BOUND}.declared_count_sufficient",
-                SATISFIED if bound.consistent else FAILED,
-                f"declared separatrix germs {bound.declared_m} {relation} "
-                f"lower bound {bound.lower_bound}",
-            ))
+            consistent = run(COUNT_BOUND, "declared_count_sufficient")
             witnesses = {
-                "declared_separatrices": bound.declared_m,
-                "separatrix_count_lower_bound": bound.lower_bound,
+                "declared_separatrices": a.count_bound.declared_m,
+                "separatrix_count_lower_bound": a.count_bound.lower_bound,
             }
-            if not bound.consistent:
+            if not consistent:
                 witnesses["violated"] = (
                     "fewer separatrix germs declared than the residue span "
                     "dimension guarantees"
@@ -618,7 +632,7 @@ def certificate_for(g: DualGraph) -> Certificate:
     no_sn = run(RULE_TORSION, "no_saddle_node")
     definite = run(RULE_TORSION, "matrix_negative_definite")
     if torsion and no_sn and definite:
-        order = representation_class(g).order
+        order = a.representation.order
         return done(SEPARATRIX_EXISTS, RULE_TORSION, {"torsion_order": order})
 
     # 4: declared Gorenstein data reduces to the torsion situation.
@@ -630,7 +644,7 @@ def certificate_for(g: DualGraph) -> Certificate:
             skip(RULE_GORENSTEIN, "gorenstein_holonomy_power_trivial")
             pairings = {
                 cid: value.to_json()
-                for cid, value in _gorenstein_pairings(g).items()
+                for cid, value in a.gorenstein_pairings.items()
                 if not value.is_zero
             }
             return done(INCONSISTENT_INPUT, RULE_GORENSTEIN, {
@@ -639,7 +653,7 @@ def certificate_for(g: DualGraph) -> Certificate:
                 "nonzero_pairings": pairings,
             })
         if run(RULE_GORENSTEIN, "gorenstein_holonomy_power_trivial"):
-            reduction = gorenstein_reduce(g)
+            reduction = _forced_reduction(g, True)
             return done(SEPARATRIX_EXISTS, RULE_GORENSTEIN, reduction.to_json())
 
     # 5: certified non-existence needs the closed-world declaration.

@@ -1,0 +1,117 @@
+"""Each whole-graph fact is computed at most once per verdict or analyze.
+
+The layer functions are replaced by counting wrappers everywhere a sepkit
+module refers to them (the defining module and every by-name import), so
+a recomputation is seen wherever it happens.
+"""
+
+import dataclasses
+import inspect
+import sys
+from collections import Counter
+
+import pytest
+
+from sepkit import dualgraph, holonomy, intersection
+from sepkit.dualgraph import GorensteinData
+from sepkit.fixtures import (
+    make_camacho_cycle,
+    make_p2_cycle,
+    make_random_graph,
+    make_torsion4,
+)
+from sepkit.report import analyze
+from sepkit.verdict import run_check, run_subcurve_check, subcurve_criterion, verdict
+
+COUNTED = {
+    "definiteness": intersection.definiteness,
+    "intersection_matrix": intersection.intersection_matrix,
+    "cycle_basis": holonomy.cycle_basis,
+    "representation_class": holonomy.representation_class,
+    "induced_subcurve": dualgraph.induced_subcurve,
+}
+# Computed by every verdict, analyze and subcurve criterion on a cyclic graph.
+ALWAYS = ("definiteness", "intersection_matrix", "cycle_basis", "representation_class")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {fn: counting(name, fn) for name, fn in COUNTED.items()}
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "sepkit" or module_name.startswith("sepkit."):
+            for attr, value in list(vars(module).items()):
+                if inspect.isfunction(value) and value in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[value])
+    return counts
+
+
+def _cyclic_graphs():
+    camacho = make_camacho_cycle()[0]
+    gorenstein = GorensteinData(2, tuple((c.id, 2) for c in camacho.components))
+    graphs = {
+        "camacho": camacho,
+        "camacho_gorenstein": dataclasses.replace(camacho, gorenstein=gorenstein),
+        "torsion4": make_torsion4(),
+        "p2_cycle": make_p2_cycle(2),
+    }
+    for seed in range(4):
+        graphs[f"random_graph_{seed}"] = make_random_graph(seed, 12, 2)
+        graphs[f"random_graph_sn_{seed}"] = make_random_graph(seed, 10, 2, 0.3)
+    return graphs
+
+
+GRAPHS = _cyclic_graphs()
+
+
+def _assert_once(counts, extra=()):
+    for name in COUNTED:
+        expected = 1 if name in ALWAYS + tuple(extra) else 0
+        assert counts[name] == expected, (name, dict(counts))
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_verdict_computes_each_fact_once(calls, name):
+    verdict(GRAPHS[name])
+    _assert_once(calls)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_analyze_computes_each_fact_once(calls, name):
+    analyze(GRAPHS[name])
+    _assert_once(calls)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_subcurve_criterion_computes_each_fact_once(calls, name):
+    g = GRAPHS[name]
+    subcurve_criterion(g, [c.id for c in g.components[:3]])
+    _assert_once(calls, extra=("induced_subcurve",))
+
+
+def test_run_check_recomputes_on_every_call(calls):
+    g = GRAPHS["camacho"]
+    first = run_check(g, "matrix_negative_definite")
+    second = run_check(g, "matrix_negative_definite")
+    assert first == second
+    assert calls["definiteness"] == 2
+    assert calls["intersection_matrix"] == 2
+
+    run_check(g, "representation_infinite")
+    run_check(g, "representation_infinite")
+    assert calls["representation_class"] == 2
+
+
+def test_run_subcurve_check_recomputes_on_every_call(calls):
+    g = GRAPHS["torsion4"]
+    for _ in range(2):
+        run_subcurve_check(g, ["E1", "E2"], "induced_representation_trivial")
+    assert calls["induced_subcurve"] == 2
+    assert calls["representation_class"] == 2

@@ -199,7 +199,7 @@ class TestParsing:
         obj["gorenstein"] = {"k": 2, "a": {"E1": 2, "E2": 2, "E3": 2}}
         g = graph_from_obj(obj)
         assert g.gorenstein.k == 2
-        assert g.gorenstein.coefficient("E2") == 2
+        assert g.gorenstein.a == (("E1", 2), ("E2", 2), ("E3", 2))
 
         obj["gorenstein"] = {"k": 2, "a": {"E1": 2, "E2": 2}}
         with pytest.raises(SchemaError, match="cover"):
