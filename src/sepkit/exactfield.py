@@ -320,9 +320,14 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse via the extended Euclidean algorithm.
+
+        Over Q (degree 1) it is the plain reciprocal.
+        """
         if self.is_zero:
             raise DivisionByZero("division by zero")
+        if self.field.degree == 1:
+            return FieldElement(self.field, (1 / self.coeffs[0],))
         m = _full_poly(self.field.min_poly)
         # Extended Euclid tracking only the coefficient of b in the
         # combination r_i = s_i*b + t_i*m; t is never needed.

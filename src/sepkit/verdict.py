@@ -56,7 +56,6 @@ from .holonomy import (
     TRIVIAL,
     INFINITE,
     _propagate_residues,
-    cycle_basis,
     representation_class,
 )
 from .intersection import _pair_with, definiteness, intersection_matrix
@@ -360,8 +359,11 @@ def toma_prune(g: DualGraph) -> tuple[str, ...]:
     arrow contains no weak separatrix, and at least one such component
     exists because n nodes cannot all receive one of n-1 arrows.  Ties are
     broken toward the component containing the earliest-listed vertex.
+
+    Parsed graphs and induced subcurves are connected, and a connected
+    graph is a tree iff it has one crossing fewer than components.
     """
-    if cycle_basis(g).cycles:
+    if len(g.crossings) != len(g.components) - 1:
         raise NotATree("pruning is defined for tree dual graphs only")
 
     parent: dict[str, str] = {c.id: c.id for c in g.components}

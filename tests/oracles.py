@@ -63,6 +63,66 @@ def quadratic_form_negative(rows, vectors) -> bool:
     return True
 
 
+def leading_minors(rows) -> list[int] | None:
+    """All leading principal minors by one Bareiss sweep, no pivoting.
+
+    After k elimination steps the (k, k) entry equals the order-(k+1)
+    leading minor, and every division by the previous pivot is exact.
+    Returns None as soon as a minor vanishes (no pivoting is possible
+    without leaving the leading-minor sequence).
+    """
+    n = len(rows)
+    m = [list(r) for r in rows]
+    minors: list[int] = []
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot == 0:
+            return None
+        minors.append(pivot)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) // prev
+        prev = pivot
+    return minors
+
+
+def bareiss_determinant(rows) -> int:
+    """Fraction-free determinant with row pivoting (handles zero pivots)."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def dense_definiteness(rows) -> tuple[bool, int]:
+    """(negative definite, determinant) of a dense symmetric integer matrix.
+
+    Negative definite iff the leading principal minors alternate in sign
+    starting negative; the determinant comes from pivoted Bareiss.  Dense
+    and in leading order, unlike the package's sparse symmetric pivots.
+    """
+    minors = leading_minors(rows)
+    negative = minors is not None and all(
+        (minor < 0) if k % 2 == 0 else (minor > 0)
+        for k, minor in enumerate(minors)
+    )
+    return negative, bareiss_determinant(rows)
+
+
 def prune_oracle(g: DualGraph) -> tuple[str, ...]:
     """Brute-force pruning: enumerate forest components directly.
 

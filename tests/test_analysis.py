@@ -18,6 +18,7 @@ from sepkit.fixtures import (
     make_camacho_cycle,
     make_p2_cycle,
     make_random_graph,
+    make_random_tree,
     make_torsion4,
 )
 from sepkit.report import analyze
@@ -94,6 +95,21 @@ def test_subcurve_criterion_computes_each_fact_once(calls, name):
     g = GRAPHS[name]
     subcurve_criterion(g, [c.id for c in g.components[:3]])
     _assert_once(calls, extra=("induced_subcurve",))
+
+
+TREES = {f"random_tree_{seed}": make_random_tree(seed, 5 + 4 * seed) for seed in range(4)}
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_verdict_on_a_tree_builds_one_cycle_basis(calls, name):
+    verdict(TREES[name])
+    assert dict(calls) == {"cycle_basis": 1, "representation_class": 1}
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_analyze_on_a_tree_computes_each_fact_once(calls, name):
+    analyze(TREES[name])
+    _assert_once(calls)
 
 
 def test_run_check_recomputes_on_every_call(calls):

@@ -139,6 +139,8 @@ class TestArithmetic:
         with pytest.raises(DivisionByZero):
             SQRT2.zero().inverse()
         with pytest.raises(DivisionByZero):
+            QQ.zero().inverse()
+        with pytest.raises(DivisionByZero):
             SQRT2.one() / SQRT2.zero()
 
     @given(elements(SQRT2))
@@ -146,6 +148,17 @@ class TestArithmetic:
         if e.is_zero:
             return
         assert e * e.inverse() == SQRT2.one()
+
+    @given(rationals)
+    def test_degree_one_inverse_matches_generic_path(self, q):
+        # Q inverts by the plain reciprocal; the same rational inside
+        # Q(sqrt 2) goes through extended Euclid.
+        if q == 0:
+            return
+        inv = QQ.from_rational(q).inverse()
+        assert inv.coeffs == (SQRT2.from_rational(q).inverse().rational_value(),)
+        assert isinstance(inv.coeffs[0], Fraction)
+        assert inv * QQ.from_rational(q) == QQ.one()
 
     @given(elements(GAUSS), elements(GAUSS), elements(GAUSS))
     def test_ring_identities(self, a, b, c):

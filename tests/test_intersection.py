@@ -8,15 +8,23 @@ from hypothesis import strategies as st
 from sepkit.dualgraph import NONDEGENERATE, Component, Crossing, DualGraph
 from sepkit.errors import UnknownId
 from sepkit.exactfield import NumberField
-from sepkit.fixtures import make_camacho_cycle, make_p2_cycle, make_random_tree
+from sepkit.fixtures import (
+    make_camacho_cycle,
+    make_p2_cycle,
+    make_quadratic_chain,
+    make_random_graph,
+    make_random_tree,
+    make_torsion4,
+)
 from sepkit.intersection import (
+    Definiteness,
     IntersectionMatrix,
     definiteness,
     divisor_pairing,
     intersection_matrix,
 )
 
-from oracles import quadratic_form_negative, solve_homogeneous
+from oracles import dense_definiteness, quadratic_form_negative, solve_homogeneous
 
 QQ = NumberField((Fraction(0),))
 
@@ -125,6 +133,92 @@ class TestDefinitenessOracle:
         ]
         if not quadratic_form_negative(m.rows, vectors):
             assert decided is False
+
+
+def symmetric_matrix(upper, n, zero_diagonal):
+    """n x n symmetric matrix from its upper triangle, row by row."""
+    rows = [[0] * n for _ in range(n)]
+    values = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(values)
+        if zero_diagonal:
+            rows[i][i] = 0
+    return IntersectionMatrix(
+        tuple(f"E{i + 1}" for i in range(n)), tuple(tuple(r) for r in rows)
+    )
+
+
+# A zero diagonal forces the congruence step, which random diagonals
+# almost never reach beyond two rows.
+small_symmetric = st.integers(1, 7).flatmap(
+    lambda n: st.builds(
+        symmetric_matrix,
+        st.lists(st.integers(-3, 3), min_size=n * (n + 1) // 2,
+                 max_size=n * (n + 1) // 2),
+        st.just(n),
+        st.booleans(),
+    )
+)
+
+
+class TestSparseEliminationMatchesDenseOracle:
+    @given(small_symmetric)
+    @settings(max_examples=400, deadline=None)
+    def test_random_symmetric(self, m):
+        # indefinite, singular and vanishing-leading-minor cases included
+        d = definiteness(m)
+        negative, det = dense_definiteness(m.rows)
+        assert (d.negative_definite, d.determinant) == (negative, det)
+        assert d.invertible == (det != 0)
+
+    @pytest.mark.parametrize("g", [
+        make_camacho_cycle()[0],
+        make_camacho_cycle((-1, -5, -2))[0],
+        make_p2_cycle(2),
+        make_torsion4(),
+        make_quadratic_chain(3, length=6),
+    ] + [make_random_tree(seed, n=1 + 3 * seed) for seed in range(8)],
+        ids=lambda g: f"{len(g.components)}x{len(g.crossings)}")
+    def test_fixtures(self, g):
+        m = intersection_matrix(g)
+        d = definiteness(m)
+        assert (d.negative_definite, d.determinant) == dense_definiteness(m.rows)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs(self, seed):
+        g = make_random_graph(seed, 2 + seed % 40, seed % 7, 0.3)
+        m = intersection_matrix(g)
+        d = definiteness(m)
+        assert (d.negative_definite, d.determinant) == dense_definiteness(m.rows)
+
+
+class TestPivotRegressions:
+    # [[0, 1], [1, 0]], with no nonzero diagonal, is
+    # TestMatrix.test_zero_leading_pivot_falls_back.
+    @pytest.mark.parametrize("rows, det", [
+        (((0, 2), (2, -1)), -4),    # first leading minor vanishes
+        (((-1, 1), (1, -1)), 0),    # singular
+        (((0, 1, 1), (1, 0, 1), (1, 1, 0)), 2),   # no nonzero diagonal
+    ])
+    def test_zero_pivots(self, rows, det):
+        ids = tuple(f"E{i + 1}" for i in range(len(rows)))
+        d = definiteness(IntersectionMatrix(ids, rows))
+        assert d == Definiteness(False, det, det != 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 2000])
+    def test_chain_of_minus_two_curves(self, n):
+        # the A_n plumbing: determinant (-1)^n (n + 1)
+        edges = [(i, i + 1) for i in range(n - 1)]
+        d = definiteness(intersection_matrix(graph_with_matrix((-2,) * n, edges)))
+        assert d == Definiteness(True, (-1) ** n * (n + 1), True)
+
+    def test_e8(self):
+        # chain E1..E7 with E8 on E3: arms of 2, 4 and 1 curves around E3
+        edges = [(i, i + 1) for i in range(6)] + [(2, 7)]
+        d = definiteness(intersection_matrix(graph_with_matrix((-2,) * 8, edges)))
+        assert d == Definiteness(True, 1, True)
 
 
 class TestDivisorPairing:

@@ -154,8 +154,11 @@ class TestTomaPrune:
         assert toma_prune(g) == tuple(c.id for c in g.components)
 
     def test_cycles_rejected(self):
-        with pytest.raises(NotATree):
-            toma_prune(make_camacho_cycle()[0])
+        for g in [make_camacho_cycle()[0]] + [
+            make_random_graph(seed, 6 + seed, 1 + seed % 3) for seed in range(5)
+        ]:
+            with pytest.raises(NotATree):
+                toma_prune(g)
 
     def test_matches_exhaustive_oracle(self):
         for seed in range(250):
