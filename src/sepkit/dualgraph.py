@@ -4,7 +4,8 @@ A graph has one component (vertex) per irreducible curve, one crossing
 (edge) per intersection point of two distinct components, and an optional
 bag of smooth-point singularities on each component.  Crossings carry the
 index of the foliation along the tail component at the crossing point;
-the head side is always the reciprocal and is computed, never stored.
+the head side is always the reciprocal and is computed at most once per
+crossing (parsing hands it over when it already holds it).
 Parallel crossings are allowed (two components may meet several times);
 self-crossings are not representable and must be blown up first.
 
@@ -15,7 +16,9 @@ input file.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable
 
 from .errors import (
@@ -65,9 +68,10 @@ class Crossing:
 
     Stored orientation is tail -> head with the tail earlier in input
     order.  Nondegenerate crossings store cs_tail, the index along the
-    tail side; the head side index is 1/cs_tail.  Saddle-node crossings
-    mark which endpoint carries the weak separatrix and optionally its
-    index (the strong side always has index 0).
+    tail side; the head side index cs_head = 1/cs_tail is computed once
+    per crossing, on first use.  Saddle-node crossings mark which endpoint
+    carries the weak separatrix and optionally its index (the strong side
+    always has index 0).
     """
 
     tail: str
@@ -80,6 +84,11 @@ class Crossing:
     def other(self, component_id: str) -> str:
         return self.head if component_id == self.tail else self.tail
 
+    @cached_property
+    def cs_head(self) -> FieldElement:
+        """Index along the head side of a nondegenerate crossing, 1/cs_tail."""
+        return self.cs_tail.inverse()
+
     def cs_on(self, component_id: str, field: NumberField) -> FieldElement | None:
         """Index along the given side; None when it is an unknown weak index."""
         if component_id not in (self.tail, self.head):
@@ -88,7 +97,7 @@ class Crossing:
         if self.kind == NONDEGENERATE:
             if component_id == self.tail:
                 return self.cs_tail
-            return self.cs_tail.inverse()
+            return self.cs_head
         if component_id == self.weak:
             return self.cs_weak
         return field.zero()
@@ -203,7 +212,9 @@ def _parse_smooth_singularity(obj, field: NumberField, where: str) -> SmoothSing
     return SmoothSingularity(sid, kind, cs, separatrix)
 
 
-def _parse_crossing(obj, field: NumberField, ids: list[str], where: str) -> Crossing:
+def _parse_crossing(
+    obj, field: NumberField, positions: dict[str, int], where: str
+) -> Crossing:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: crossing must be an object")
     if "kind" not in obj:
@@ -217,7 +228,7 @@ def _parse_crossing(obj, field: NumberField, ids: list[str], where: str) -> Cros
         raise SchemaError(f"{where}: unknown crossing kind {kind!r}")
     tail, head = obj["tail"], obj["head"]
     for cid in (tail, head):
-        if cid not in ids:
+        if not isinstance(cid, str) or cid not in positions:
             raise UnknownId(f"{where}: unknown component id {cid!r}")
     if tail == head:
         raise SelfLoop(
@@ -225,17 +236,19 @@ def _parse_crossing(obj, field: NumberField, ids: list[str], where: str) -> Cros
             "not representable here, blow up the crossing point first and "
             "re-enter the resulting configuration"
         )
-    flip = ids.index(tail) > ids.index(head)
+    flip = positions[tail] > positions[head]
     if kind == NONDEGENERATE:
         cs_tail = field.parse_element(obj["cs_tail"])
         if cs_tail.is_zero:
             raise SchemaError(
                 f"{where}: a nondegenerate crossing needs a nonzero cs_tail"
             )
-        if flip:
-            tail, head = head, tail
-            cs_tail = cs_tail.inverse()
-        return Crossing(tail, head, NONDEGENERATE, cs_tail=cs_tail)
+        if not flip:
+            return Crossing(tail, head, NONDEGENERATE, cs_tail=cs_tail)
+        crossing = Crossing(head, tail, NONDEGENERATE, cs_tail=cs_tail.inverse())
+        # The given index is the head side: fill the cached_property with it.
+        vars(crossing)["cs_head"] = cs_tail
+        return crossing
     weak = obj["weak"]
     if weak not in (tail, head):
         raise SchemaError(f"{where}: weak must name one of the two endpoints")
@@ -294,12 +307,13 @@ def graph_from_obj(obj) -> DualGraph:
             sings.append(sing)
         components.append(Component(cid, selfint, genus, tuple(sings)))
     ids = [c.id for c in components]
+    positions = {cid: i for i, cid in enumerate(ids)}
 
     raw_crossings = obj["crossings"]
     if not isinstance(raw_crossings, list):
         raise SchemaError("crossings must be an array")
     crossings = tuple(
-        _parse_crossing(raw, field, ids, f"crossings[{i}]")
+        _parse_crossing(raw, field, positions, f"crossings[{i}]")
         for i, raw in enumerate(raw_crossings)
     )
 
@@ -314,7 +328,7 @@ def graph_from_obj(obj) -> DualGraph:
         if not isinstance(raw_a, dict):
             raise SchemaError("gorenstein.a must be an object")
         for cid in raw_a:
-            if cid not in ids:
+            if cid not in positions:
                 raise UnknownId(f"gorenstein.a: unknown component id {cid!r}")
         coeffs = []
         for cid in ids:
@@ -341,6 +355,8 @@ def parse_graph(text: str | bytes) -> DualGraph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
+    except ValueError:  # a number past the interpreter's int-string digit limit
+        raise SchemaError("invalid JSON: a number has too many digits") from None
     return graph_from_obj(obj)
 
 
@@ -351,9 +367,9 @@ def _check_connected(g: DualGraph):
         adjacency[c.tail].append(c.head)
         adjacency[c.head].append(c.tail)
     seen = {ids[0]}
-    queue = [ids[0]]
+    queue = deque([ids[0]])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for w in adjacency[v]:
             if w not in seen:
                 seen.add(w)

@@ -10,6 +10,19 @@ c0..c_(d-1) of m(x) = x^d + c_(d-1) x^(d-1) + ... + c0.  The leading 1
 is implicit.  Construction applies a partial irreducibility screen (no
 rational root when d > 1, squarefree always); a reducible m that slips
 past the screen surfaces later as a DivisionByZero on a zero divisor.
+
+The kernel is the standard power-basis arithmetic.  Each field reduces
+x^d, ..., x^(2d-2) modulo m once, into a table of integer rows over one
+common denominator.  A product clears the denominators of both factors,
+convolves the integer numerators, folds the coefficients of degree >= d
+back through the table, and builds d Fractions at the end.  The inverse
+of u solves M c = e0, where column j of M is the coordinate vector of
+u a^j: each column is kept as integer numerators over a known
+denominator, and the system is solved by Bareiss fraction-free
+elimination with an integer back substitution, so the d coordinates are
+the only Fractions it builds.  M is singular exactly
+when u is a zero divisor, which raises DivisionByZero.  Degree 1 uses
+the plain Fraction operations.
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -46,7 +59,13 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, str):
         text = value.strip()
         if _RATIONAL_RE.match(text):
-            return Fraction(text)
+            num, _, den = text.partition("/")
+            try:
+                return Fraction(int(num), int(den or 1))
+            except ValueError:  # past the interpreter's int-string digit limit
+                raise BadFieldElement(
+                    f"rational literal too long: {len(text)} characters"
+                ) from None
     raise BadFieldElement(f"not a rational: {value!r}")
 
 
@@ -58,75 +77,17 @@ def format_rational(q: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial helpers over Q.  Coefficients are Fractions, lowest
-# degree first, with no trailing zeros (the zero polynomial is ()).
+# Coefficient vectors over Q: Fractions, lowest degree first.
 
 
-def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    last = len(coeffs)
-    while last > 0 and coeffs[last - 1] == 0:
-        last -= 1
-    return tuple(coeffs[:last])
+def _as_fraction(c) -> Fraction:
+    return c if type(c) is Fraction else Fraction(c)
 
 
-def _poly_sub(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    n = max(len(p), len(q))
-    pp = tuple(p) + (_ZERO,) * (n - len(p))
-    qq = tuple(q) + (_ZERO,) * (n - len(q))
-    return _trim([a - b for a, b in zip(pp, qq)])
-
-
-def _poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if not p or not q:
-        return ()
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _trim(out)
-
-
-def _poly_divmod(p, q):
-    """Quotient and remainder of p by q (q nonzero)."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [_ZERO] * max(len(p) - len(q) + 1, 0)
-    lead = q[-1]
-    while len(rem) >= len(q) and _trim(rem):
-        rem = list(_trim(rem))
-        if len(rem) < len(q):
-            break
-        factor = rem[-1] / lead
-        shift = len(rem) - len(q)
-        quo[shift] = factor
-        for i, b in enumerate(q):
-            rem[shift + i] -= factor * b
-        rem.pop()
-    return _trim(quo), _trim(rem)
-
-
-def _poly_gcd(p, q):
-    """Monic gcd of two rational polynomials."""
-    a, b = _trim(p), _trim(q)
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = tuple(c / lead for c in a)
-    return a
-
-
-def _poly_derivative(p):
-    return _trim([p[i] * i for i in range(1, len(p))])
-
-
-def _full_poly(min_poly: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Monic tail -> complete coefficient list, leading 1 included."""
-    return tuple(min_poly) + (_ONE,)
+def _integral(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator, and that one."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _divisors(n: int) -> list[int]:
@@ -143,10 +104,7 @@ def _divisors(n: int) -> list[int]:
 
 def _has_rational_root(full: Sequence[Fraction]) -> bool:
     """Rational root test after clearing denominators."""
-    denom_lcm = 1
-    for c in full:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in full]
+    ints, _ = _integral(full)  # full: m with its leading 1, lowest degree first
     if ints[0] == 0:
         return True  # x = 0 is a root
     for p in _divisors(ints[0]):
@@ -165,24 +123,97 @@ def _has_rational_root(full: Sequence[Fraction]) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _solve_unit(cols: list[list[int]]) -> tuple[list[int], int]:
+    """Integers y and D != 0 with sum_j (y_j / D) cols[j] = e0.
+
+    Bareiss fraction-free elimination with row pivoting on the square
+    integer matrix whose columns are cols, augmented by e0.  D is the last
+    pivot, +-det; by Cramer's rule D times each unknown is an integer, so
+    the back substitution divides exactly.  A missing pivot means the
+    matrix is singular: the element it came from is a zero divisor.
+    """
+    n = len(cols)
+    a = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            # m is reducible and the element shares a factor with it.
+            raise DivisionByZero(
+                "element is not invertible; the declared minimal polynomial "
+                "is reducible"
+            )
+        a[k], a[pivot] = a[pivot], a[k]
+        top = a[k]
+        for row in a[k + 1:]:
+            lead = row[k]
+            for c in range(k + 1, n + 1):
+                row[c] = (top[k] * row[c] - lead * top[c]) // prev
+            row[k] = 0
+        prev = top[k]
+    y = [0] * n
+    for k in reversed(range(n)):
+        row = a[k]
+        acc = prev * row[n] - sum(row[c] * y[c] for c in range(k + 1, n))
+        y[k] = acc // row[k]
+    return y, prev
+
+
+# ---------------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class NumberField:
-    """Q[x]/(m(x)) for a monic m given by its tail coefficients c0..c_(d-1)."""
+    """Q[x]/(m(x)) for a monic m given by its tail coefficients c0..c_(d-1).
+
+    Besides the declared tail it keeps the reduction table: row k - d holds
+    the integer numerators of x^k mod m over the common denominator
+    `_table_den`, for k = d..2d-2.
+    """
 
     min_poly: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.min_poly)
+        coeffs = tuple(_as_fraction(c) for c in self.min_poly)
         object.__setattr__(self, "min_poly", coeffs)
-        if len(coeffs) < 1:
+        d = len(coeffs)
+        if d < 1:
             raise InvalidNumberField("minimal polynomial must have degree >= 1")
-        full = _full_poly(coeffs)
-        if _poly_gcd(full, _poly_derivative(full)) != (_ONE,):
-            raise InvalidNumberField("minimal polynomial is not squarefree")
-        if len(coeffs) > 1 and _has_rational_root(full):
+        rows, row = [], [-c for c in coeffs]  # x^d = -(c0 + c1 x + ...)
+        for _ in range(d - 1):  # x^(k+1) = x * x^k, folding x^d back
+            rows.append(row)
+            row = [s - row[-1] * c for s, c in zip([_ZERO] + row[:-1], coeffs)]
+        den = lcm(*[r.denominator for row in rows for r in row])
+        object.__setattr__(self, "_table_den", den)
+        object.__setattr__(self, "_table", tuple(
+            tuple(r.numerator * (den // r.denominator) for r in row)
+            for row in rows
+        ))
+        # m is squarefree iff gcd(m, m') = 1 iff m'(a), of degree d - 1, is
+        # a unit, i.e. its multiplication matrix is nonsingular.
+        derivative = [i * c for i, c in enumerate(coeffs) if i] + [Fraction(d)]
+        try:
+            _solve_unit(self._columns(_integral(derivative)[0]))
+        except DivisionByZero:
+            raise InvalidNumberField("minimal polynomial is not squarefree") from None
+        if d > 1 and _has_rational_root(coeffs + (_ONE,)):
             raise InvalidNumberField(
                 "minimal polynomial of degree > 1 has a rational root"
             )
+
+    def _columns(self, num: list[int]) -> list[list[int]]:
+        """Integer columns of u, u a, ..., u a^(d-1) for u with numerators num.
+
+        Column j is over den(u) * _table_den^j: multiplying by a shifts up
+        and folds a^d back through the first table row.
+        """
+        cols = [num]
+        for _ in range(self.degree - 1):
+            prev = cols[-1]
+            shifted = [0] + prev[:-1]
+            cols.append([self._table_den * s + prev[-1] * r
+                         for s, r in zip(shifted, self._table[0])])
+        return cols
 
     @property
     def degree(self) -> int:
@@ -191,7 +222,7 @@ class NumberField:
     # -- element construction ------------------------------------------------
 
     def element(self, coeffs: Iterable) -> "FieldElement":
-        vec = tuple(Fraction(c) for c in coeffs)
+        vec = tuple(_as_fraction(c) for c in coeffs)
         if len(vec) != self.degree:
             raise BadFieldElement(
                 f"expected {self.degree} coefficients, got {len(vec)}"
@@ -199,8 +230,7 @@ class NumberField:
         return FieldElement(self, vec)
 
     def from_rational(self, q) -> "FieldElement":
-        q = Fraction(q)
-        return self.element((q,) + (_ZERO,) * (self.degree - 1))
+        return FieldElement(self, (_as_fraction(q),) + (_ZERO,) * (self.degree - 1))
 
     def zero(self) -> "FieldElement":
         return self.from_rational(0)
@@ -274,7 +304,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(
                     "elements of different number fields cannot be combined"
                 )
@@ -300,7 +330,9 @@ class FieldElement:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return FieldElement(
+            self.field, tuple(a - b for a, b in zip(self.coeffs, rhs.coeffs))
+        )
 
     def __rsub__(self, other):
         rhs = self._coerce(other)
@@ -309,45 +341,55 @@ class FieldElement:
         return rhs - self
 
     def __mul__(self, other):
+        """Convolution of integer numerators, folded back by the field's table."""
+        field = self.field
+        if isinstance(other, (int, Fraction)):
+            return FieldElement(field, tuple(c * other for c in self.coeffs))
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        prod = _poly_mul(self.coeffs, rhs.coeffs)
-        _, rem = _poly_divmod(prod, _full_poly(self.field.min_poly))
-        vec = list(rem) + [_ZERO] * (self.field.degree - len(rem))
-        return FieldElement(self.field, tuple(vec))
+        d = field.degree
+        if d == 1:
+            return FieldElement(field, (self.coeffs[0] * rhs.coeffs[0],))
+        a, a_den = _integral(self.coeffs)
+        b, b_den = _integral(rhs.coeffs)
+        conv = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    conv[i + j] += x * y
+        table_den = field._table_den
+        out = conv[:d] if table_den == 1 else [table_den * c for c in conv[:d]]
+        for c, row in zip(conv[d:], field._table):
+            if c:
+                out = [o + c * r for o, r in zip(out, row)]
+        den = a_den * b_den * table_den
+        if den == 1:
+            return FieldElement(field, tuple(Fraction(n) for n in out))
+        return FieldElement(field, tuple(Fraction(n, den) for n in out))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via the extended Euclidean algorithm.
+        """Multiplicative inverse: the solution c of M c = e0.
 
-        Over Q (degree 1) it is the plain reciprocal.
+        Column j of M is the coordinate vector of u a^j, so sum c_j a^j is
+        the inverse of u.  The columns are integer numerators, the j-th over
+        den(u) * _table_den^j (`NumberField._columns`), and the system is
+        solved fraction free (`_solve_unit`).  Over Q (degree 1) it is the
+        plain reciprocal.
         """
         if self.is_zero:
             raise DivisionByZero("division by zero")
-        if self.field.degree == 1:
-            return FieldElement(self.field, (1 / self.coeffs[0],))
-        m = _full_poly(self.field.min_poly)
-        # Extended Euclid tracking only the coefficient of b in the
-        # combination r_i = s_i*b + t_i*m; t is never needed.
-        r0, r1 = _trim(self.coeffs), m
-        s0, s1 = (_ONE,), ()
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if len(r0) != 1:
-            # gcd(b, m) is non-constant, so m is reducible and b a zero divisor.
-            raise DivisionByZero(
-                "element is not invertible; the declared minimal polynomial "
-                "is reducible"
-            )
-        scale = r0[0]
-        inv = [c / scale for c in s0]
-        _, rem = _poly_divmod(inv, m)
-        vec = list(rem) + [_ZERO] * (self.field.degree - len(rem))
-        return FieldElement(self.field, tuple(vec))
+        field = self.field
+        if field.degree == 1:
+            return FieldElement(field, (1 / self.coeffs[0],))
+        num, den = _integral(self.coeffs)
+        y, det = _solve_unit(field._columns(num))
+        return FieldElement(field, tuple(
+            Fraction(y_j * den * field._table_den ** j, det)
+            for j, y_j in enumerate(y)
+        ))
 
     def __truediv__(self, other):
         rhs = self._coerce(other)
@@ -487,8 +529,5 @@ def rational_span_dimension(elements: Sequence[FieldElement]) -> int:
     for e in elems:
         if e.field != field:
             raise FieldMismatch("span requires elements of a single field")
-        denom_lcm = 1
-        for c in e.coeffs:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        rows.append([int(c * denom_lcm) for c in e.coeffs])
+        rows.append(_integral(e.coeffs)[0])
     return fraction_free_rank(rows)

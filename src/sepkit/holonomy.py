@@ -2,10 +2,11 @@
 
 Every nondegenerate crossing carries a multiplicative weight: traversed
 tail to head it contributes -1/cs_tail (minus the head-side index), and
-traversed backwards the reciprocal.  Products of weights around the
-fundamental cycles of a deterministic spanning tree classify the
-representation as trivial, torsion, infinite, or indeterminate when a
-saddle-node sits on a cycle and its weight is undefined.
+traversed backwards the reciprocal, -cs_tail.  Both indices are read off
+the crossing, so no weight inverts or divides.  Products of weights
+around the fundamental cycles of a deterministic spanning tree classify
+the representation as trivial, torsion, infinite, or indeterminate when
+a saddle-node sits on a cycle and its weight is undefined.
 
 The dual convention (minus the tail-side index, -cs_tail) is exposed as
 well; it yields exactly the inverse holonomy on every cycle, so the
@@ -136,12 +137,12 @@ def edge_weight(
     if crossing.kind != NONDEGENERATE:
         return None
     if convention == HEAD_SIDE:
-        forward = -crossing.cs_tail.inverse()
+        forward, backward = crossing.cs_head, crossing.cs_tail
     elif convention == TAIL_SIDE:
-        forward = -crossing.cs_tail
+        forward, backward = crossing.cs_tail, crossing.cs_head
     else:
         raise ValueError(f"unknown convention: {convention!r}")
-    return forward if step.forward else forward.inverse()
+    return -(forward if step.forward else backward)
 
 
 @dataclass(frozen=True)
@@ -272,21 +273,20 @@ def _propagate_residues(g: DualGraph, rep: RepresentationClass) -> ResidualDivis
 
     basis = rep.basis
     residues: dict[str, FieldElement] = {basis.root: g.field.one()}
+    # The tail/head residue ratio is -cs_head, its inverse -cs_tail.
     for idx in basis.tree:
         crossing = g.crossings[idx]
-        weight = -crossing.cs_tail.inverse()  # tail/head residue ratio
         if crossing.tail in residues and crossing.head not in residues:
-            residues[crossing.head] = residues[crossing.tail] / weight
+            residues[crossing.head] = -crossing.cs_tail * residues[crossing.tail]
         elif crossing.head in residues and crossing.tail not in residues:
-            residues[crossing.tail] = weight * residues[crossing.head]
+            residues[crossing.tail] = -crossing.cs_head * residues[crossing.head]
     # Tree edges are discovered in BFS order, so both cases above cover
     # every edge exactly once; the loop cannot leave a component unset.
 
     for cycle in basis.cycles:
         idx = cycle[0].crossing
         crossing = g.crossings[idx]
-        weight = -crossing.cs_tail.inverse()
-        if residues[crossing.tail] != weight * residues[crossing.head]:
+        if residues[crossing.tail] != -crossing.cs_head * residues[crossing.head]:
             raise RuntimeError(
                 "internal error: trivial representation but inconsistent "
                 f"residues across crossing {idx}"

@@ -13,6 +13,90 @@ from fractions import Fraction
 from sepkit.dualgraph import SADDLE_NODE, DualGraph
 
 
+# ---------------------------------------------------------------------------
+# Number-field arithmetic by generic polynomial division: schoolbook
+# product then long division by m, and the inverse by the extended
+# Euclidean algorithm.  Coefficient tuples are lowest degree first.
+
+
+def _trim(coeffs) -> tuple[Fraction, ...]:
+    last = len(coeffs)
+    while last > 0 and coeffs[last - 1] == 0:
+        last -= 1
+    return tuple(coeffs[:last])
+
+
+def _poly_sub(p, q) -> tuple[Fraction, ...]:
+    n = max(len(p), len(q))
+    pp = tuple(p) + (Fraction(0),) * (n - len(p))
+    qq = tuple(q) + (Fraction(0),) * (n - len(q))
+    return _trim([a - b for a, b in zip(pp, qq)])
+
+
+def _poly_mul(p, q) -> tuple[Fraction, ...]:
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _trim(out)
+
+
+def _poly_divmod(p, q):
+    """Quotient and remainder of p by a nonzero q."""
+    rem = list(_trim(p))
+    quo = [Fraction(0)] * max(len(rem) - len(q) + 1, 0)
+    while len(rem) >= len(q):
+        factor = rem[-1] / q[-1]
+        shift = len(rem) - len(q)
+        quo[shift] = factor
+        for i, b in enumerate(q):
+            rem[shift + i] -= factor * b
+        rem = list(_trim(rem))
+    return _trim(quo), tuple(rem)
+
+
+def _modulus(field) -> tuple[Fraction, ...]:
+    return tuple(field.min_poly) + (Fraction(1),)
+
+
+def _coords(field, poly) -> tuple[Fraction, ...]:
+    _, rem = _poly_divmod(poly, _modulus(field))
+    return tuple(rem) + (Fraction(0),) * (field.degree - len(rem))
+
+
+def poly_mul_mod(a, b) -> tuple[Fraction, ...]:
+    """Coordinates of a * b: the product polynomial reduced by m."""
+    return _coords(a.field, _poly_mul(_trim(a.coeffs), _trim(b.coeffs)))
+
+
+def euclid_inverse(a) -> tuple[Fraction, ...]:
+    """Coordinates of 1 / a by the extended Euclidean algorithm on (a, m).
+
+    Raises ZeroDivisionError when gcd(a, m) is not constant (a is zero or
+    a zero divisor of a reducible m).
+    """
+    r0, r1 = _trim(a.coeffs), _modulus(a.field)
+    s0, s1 = (Fraction(1),), ()
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+    if len(r0) != 1:
+        raise ZeroDivisionError("not invertible")
+    return _coords(a.field, tuple(c / r0[0] for c in s0))
+
+
+def power_oracle(a, n: int) -> tuple[Fraction, ...]:
+    """Coordinates of a ** n by repeated oracle products (n may be < 0)."""
+    base = a.coeffs if n >= 0 else euclid_inverse(a)
+    out = a.field.one().coeffs
+    for _ in range(abs(n)):
+        out = poly_mul_mod(a.field.element(out), a.field.element(base))
+    return out
+
+
 def fraction_rank(rows: list[list[Fraction]]) -> int:
     """Row rank by textbook Gaussian elimination over Q."""
     matrix = [[Fraction(v) for v in row] for row in rows]

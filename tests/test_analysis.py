@@ -7,16 +7,25 @@ a recomputation is seen wherever it happens.
 
 import dataclasses
 import inspect
+import json
 import sys
 from collections import Counter
 
 import pytest
 
 from sepkit import dualgraph, holonomy, intersection
-from sepkit.dualgraph import GorensteinData
+from sepkit.dualgraph import (
+    NONDEGENERATE,
+    GorensteinData,
+    graph_to_obj,
+    parse_graph,
+    serialize_graph,
+)
+from sepkit.exactfield import FieldElement
 from sepkit.fixtures import (
     make_camacho_cycle,
     make_p2_cycle,
+    make_quadratic_chain,
     make_random_graph,
     make_random_tree,
     make_torsion4,
@@ -131,3 +140,51 @@ def test_run_subcurve_check_recomputes_on_every_call(calls):
         run_subcurve_check(g, ["E1", "E2"], "induced_representation_trivial")
     assert calls["induced_subcurve"] == 2
     assert calls["representation_class"] == 2
+
+
+# Inputs for the head-side index count: each serialized as stored, and with
+# every nondegenerate crossing written the other way round (head first,
+# carrying the head-side index), which parsing turns back.
+INVERSE_GRAPHS = {
+    "camacho": make_camacho_cycle()[0],
+    "torsion4": make_torsion4(),
+    "quadratic_chain": make_quadratic_chain(2, 6),
+    "random_graph_1": make_random_graph(1, 12, 3),
+    "random_graph_5": make_random_graph(5, 15, 4),
+}
+
+
+def _reversed_text(g):
+    obj = graph_to_obj(g)
+    for raw, crossing in zip(obj["crossings"], g.crossings):
+        if crossing.kind == NONDEGENERATE:
+            raw["tail"], raw["head"] = crossing.head, crossing.tail
+            raw["cs_tail"] = crossing.cs_head.to_json()
+    return json.dumps(obj)
+
+
+@pytest.fixture
+def inverses(monkeypatch):
+    counts = Counter()
+    original = FieldElement.inverse
+
+    def counting(self):
+        counts["inverse"] += 1
+        return original(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counting)
+    return counts
+
+
+@pytest.mark.parametrize("run", [verdict, analyze], ids=["verdict", "analyze"])
+@pytest.mark.parametrize("orientation", ["stored", "reversed"])
+@pytest.mark.parametrize("name", sorted(INVERSE_GRAPHS))
+def test_at_most_one_inverse_per_crossing(inverses, name, orientation, run):
+    g = INVERSE_GRAPHS[name]
+    text = serialize_graph(g) if orientation == "stored" else _reversed_text(g)
+    inverses.clear()
+    parsed = parse_graph(text)
+    run(parsed)
+    assert parsed == g
+    nondegenerate = sum(c.kind == NONDEGENERATE for c in g.crossings)
+    assert inverses["inverse"] <= nondegenerate, (inverses["inverse"], nondegenerate)

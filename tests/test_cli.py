@@ -1,12 +1,15 @@
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sepkit
 from sepkit.cli import run_cli
 from sepkit.dualgraph import (
     NONDEGENERATE,
@@ -298,6 +301,42 @@ class TestAnalyze:
                       "--format", "text"])
         assert rc == 0
         assert capsys.readouterr().out
+
+
+class TestOversizedLiterals:
+    """Numbers past the interpreter's int-string digit limit end in a typed
+    error with exit code 1, not a traceback."""
+
+    def _validate(self, tmp_path, text):
+        path = tmp_path / "big.json"
+        path.write_text(text, encoding="utf-8")
+        src = str(Path(sepkit.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "sepkit", "validate", "--input", str(path)],
+            capture_output=True, text=True, env=env,
+        )
+
+    def test_rational_string_literal(self, tmp_path):
+        obj = json.loads(serialize_graph(make_camacho_cycle()[0]))
+        obj["crossings"][0]["cs_tail"][0] = "1" * 5000
+        result = self._validate(tmp_path, json.dumps(obj))
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: rational literal too long")
+        assert result.stdout == ""
+
+    def test_json_number(self, tmp_path):
+        text = serialize_graph(make_camacho_cycle()[0]).replace(
+            '"self_intersection": -2', '"self_intersection": ' + "9" * 5000, 1)
+        result = self._validate(tmp_path, text)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: invalid JSON:")
+        assert result.stdout == ""
 
 
 class TestUsage:

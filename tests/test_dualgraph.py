@@ -25,6 +25,7 @@ from sepkit.errors import (
     SelfLoop,
     UnknownId,
 )
+from sepkit.exactfield import FieldElement
 from sepkit.fixtures import (
     make_camacho_cycle,
     make_p2_cycle,
@@ -107,6 +108,33 @@ class TestParsing:
         obj["crossings"][0]["head"] = "E9"
         with pytest.raises(UnknownId):
             graph_from_obj(obj)
+        for bad in (["E2"], {"id": "E2"}, 2, None):
+            obj["crossings"][0]["head"] = bad
+            with pytest.raises(UnknownId, match="unknown component id"):
+                graph_from_obj(obj)
+
+    def test_flipped_crossing_keeps_the_given_index_as_head_side(self, monkeypatch):
+        obj = chain_obj()
+        obj["field"] = {"min_poly": ["-2", "0"]}
+        obj["crossings"][0] = {
+            "tail": "E2", "head": "E1", "kind": NONDEGENERATE, "cs_tail": ["1", "1"],
+        }
+        obj["crossings"][1]["cs_tail"] = ["-1", "0"]
+        g = graph_from_obj(obj)
+        c = g.crossings[0]
+        assert (c.tail, c.head) == ("E1", "E2")
+        assert c.cs_tail.to_json() == ["-1", "1"]  # 1/(1 + a) = -1 + a
+        calls = []
+        monkeypatch.setattr(
+            FieldElement, "inverse", lambda self: calls.append(self) or None
+        )
+        assert c.cs_head.to_json() == ["1", "1"]
+        assert c.cs_on("E2", g.field) is c.cs_head
+        assert calls == []  # parsing already held the head side
+        g.crossings[1].cs_head
+        assert calls == [g.crossings[1].cs_tail]  # stored as given: inverted once
+        g.crossings[1].cs_head
+        assert len(calls) == 1
 
     def test_disconnected_rejected(self):
         obj = chain_obj()

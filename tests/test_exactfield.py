@@ -22,13 +22,23 @@ from sepkit.exactfield import (
     unity_candidates,
 )
 
-from oracles import fraction_rank
+from oracles import euclid_inverse, fraction_rank, poly_mul_mod, power_oracle
 
 QQ = NumberField((Fraction(0),))
 GAUSS = NumberField((Fraction(1), Fraction(0)))  # x^2 + 1
 SQRT2 = NumberField((Fraction(-2), Fraction(0)))  # x^2 - 2
 SQRT21 = NumberField((Fraction(-21), Fraction(0)))  # x^2 - 21
 ZETA3 = NumberField((Fraction(1), Fraction(1)))  # x^2 + x + 1
+
+# The fields the arithmetic kernel is checked on against the oracle.
+KERNEL_FIELDS = {
+    "x": QQ,
+    "x^2-2": SQRT2,
+    "x^3-2": NumberField((Fraction(-2), Fraction(0), Fraction(0))),
+    "x^4-10x^2+1": NumberField((Fraction(1), Fraction(0), Fraction(-10), Fraction(0))),
+    "x^4+1": NumberField((Fraction(1), Fraction(0), Fraction(0), Fraction(0))),
+    "x^3-1/2": NumberField((Fraction(-1, 2), Fraction(0), Fraction(0))),
+}
 
 
 rationals = st.fractions(
@@ -55,6 +65,13 @@ class TestParseRational:
         for bad in (1.5, "1.5", "a", None, [], "3/0"):
             with pytest.raises(BadFieldElement):
                 parse_rational(bad)
+
+    def test_oversized_literal_is_a_typed_error(self):
+        for text in ("1" * 5000, "1/" + "7" * 5000, "-" + "9" * 4400):
+            with pytest.raises(BadFieldElement, match="too long"):
+                parse_rational(text)
+        assert parse_rational(" +12/18 ") == Fraction(2, 3)
+        assert parse_rational("-0/5") == 0
 
     def test_format_round_trip(self):
         for q in (Fraction(0), Fraction(-7, 2), Fraction(11)):
@@ -152,7 +169,7 @@ class TestArithmetic:
     @given(rationals)
     def test_degree_one_inverse_matches_generic_path(self, q):
         # Q inverts by the plain reciprocal; the same rational inside
-        # Q(sqrt 2) goes through extended Euclid.
+        # Q(sqrt 2) goes through the fraction-free linear solve.
         if q == 0:
             return
         inv = QQ.from_rational(q).inverse()
@@ -180,6 +197,101 @@ class TestArithmetic:
         e = SQRT2.element([Fraction(1, 2), Fraction(-3)])
         assert e.to_json() == ["1/2", "-3"]
         assert SQRT2.parse_element(e.to_json()) == e
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+class TestKernelMatchesPolynomialOracle:
+    """Table multiplication and fraction-free inverse against long division
+    and extended Euclid, coordinate for coordinate."""
+
+    check = settings(max_examples=50, deadline=None)
+
+    @check
+    @given(data=st.data())
+    def test_mul(self, name, data):
+        field = KERNEL_FIELDS[name]
+        a, b = data.draw(elements(field)), data.draw(elements(field))
+        product = a * b
+        assert product.coeffs == poly_mul_mod(a, b)
+        assert all(type(c) is Fraction for c in product.coeffs)
+        q = data.draw(rationals)
+        scaled = field.from_rational(q)
+        assert (a * q).coeffs == (q * a).coeffs == poly_mul_mod(a, scaled)
+        assert (a * 3).coeffs == poly_mul_mod(a, field.from_rational(3))
+
+    @check
+    @given(data=st.data())
+    def test_inverse_and_division(self, name, data):
+        field = KERNEL_FIELDS[name]
+        a, b = data.draw(elements(field)), data.draw(elements(field))
+        if b.is_zero:
+            with pytest.raises(DivisionByZero):
+                b.inverse()
+            with pytest.raises(DivisionByZero):
+                a / b
+            return
+        inv = b.inverse()
+        assert inv.coeffs == euclid_inverse(b)
+        assert all(type(c) is Fraction for c in inv.coeffs)
+        assert (a / b).coeffs == poly_mul_mod(a, field.element(euclid_inverse(b)))
+        assert (1 / b).coeffs == euclid_inverse(b)
+
+    @check
+    @given(data=st.data())
+    def test_pow(self, name, data):
+        field = KERNEL_FIELDS[name]
+        a = data.draw(elements(field))
+        n = data.draw(st.integers(min_value=-5, max_value=5))
+        if a.is_zero and n < 0:
+            with pytest.raises(DivisionByZero):
+                a ** n
+            return
+        assert (a ** n).coeffs == power_oracle(a, n)
+
+    def test_generator_powers(self, name):
+        # a^k for k up to 2d - 2 exercises every row of the reduction table.
+        field = KERNEL_FIELDS[name]
+        a = field.alpha()  # over Q, the generator of Q[x]/(x) is 0
+        low = 0 if a.is_zero else -2 * field.degree
+        for k in range(low, 2 * field.degree + 1):
+            assert (a ** k).coeffs == power_oracle(a, k)
+
+
+class TestReducibleModulus:
+    # x^4 - x^2 - 2 = (x^2 - 2)(x^2 + 1) has no rational root and is
+    # squarefree, so it passes the construction screen.
+    FIELD = NumberField((Fraction(-2), Fraction(0), Fraction(-1), Fraction(0)))
+
+    def test_zero_divisors_raise(self):
+        for factor in ([1, 0, 1, 0], [-2, 0, 1, 0], [3, 0, 3, 0]):
+            u = self.FIELD.element(factor)
+            with pytest.raises(DivisionByZero, match="reducible"):
+                u.inverse()
+            with pytest.raises(DivisionByZero):
+                self.FIELD.one() / u
+            with pytest.raises(ZeroDivisionError):
+                euclid_inverse(u)
+
+    def test_units_still_invert(self):
+        for coeffs in ([0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]):
+            u = self.FIELD.element(coeffs)
+            assert u.inverse().coeffs == euclid_inverse(u)
+            assert u * u.inverse() == self.FIELD.one()
+
+
+class TestElementConstruction:
+    def test_fractions_are_kept_not_rebuilt(self):
+        q = Fraction(-7, 3)
+        e = SQRT2.element([q, 2])
+        assert e.coeffs[0] is q
+        assert e.coeffs[1] == 2 and type(e.coeffs[1]) is Fraction
+        assert SQRT2.from_rational(q).coeffs[0] is q
+
+    def test_equal_fields_still_combine(self):
+        twin = NumberField((Fraction(-2), Fraction(0)))
+        assert twin is not SQRT2
+        assert twin.alpha() * SQRT2.alpha() == SQRT2.from_rational(2)
+        assert (twin.alpha() - SQRT2.alpha()).is_zero
 
 
 class TestRootsOfUnity:
