@@ -353,10 +353,8 @@ def parse_graph(text: str | bytes) -> DualGraph:
     """Parse a JSON input document into a DualGraph."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, bad encoding, or too many digits
         raise SchemaError(f"invalid JSON: {exc}") from None
-    except ValueError:  # a number past the interpreter's int-string digit limit
-        raise SchemaError("invalid JSON: a number has too many digits") from None
     return graph_from_obj(obj)
 
 

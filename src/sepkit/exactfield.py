@@ -59,9 +59,8 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, str):
         text = value.strip()
         if _RATIONAL_RE.match(text):
-            num, _, den = text.partition("/")
             try:
-                return Fraction(int(num), int(den or 1))
+                return Fraction(text)
             except ValueError:  # past the interpreter's int-string digit limit
                 raise BadFieldElement(
                     f"rational literal too long: {len(text)} characters"
@@ -342,12 +341,10 @@ class FieldElement:
 
     def __mul__(self, other):
         """Convolution of integer numerators, folded back by the field's table."""
-        field = self.field
-        if isinstance(other, (int, Fraction)):
-            return FieldElement(field, tuple(c * other for c in self.coeffs))
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        field = self.field
         d = field.degree
         if d == 1:
             return FieldElement(field, (self.coeffs[0] * rhs.coeffs[0],))
@@ -359,13 +356,11 @@ class FieldElement:
                 for j, y in enumerate(b):
                     conv[i + j] += x * y
         table_den = field._table_den
-        out = conv[:d] if table_den == 1 else [table_den * c for c in conv[:d]]
+        out = [table_den * c for c in conv[:d]]
         for c, row in zip(conv[d:], field._table):
             if c:
                 out = [o + c * r for o, r in zip(out, row)]
         den = a_den * b_den * table_den
-        if den == 1:
-            return FieldElement(field, tuple(Fraction(n) for n in out))
         return FieldElement(field, tuple(Fraction(n, den) for n in out))
 
     __rmul__ = __mul__
