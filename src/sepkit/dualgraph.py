@@ -10,7 +10,8 @@ Parallel crossings are allowed (two components may meet several times);
 self-crossings are not representable and must be blown up first.
 
 All index data lives in a single number field declared at the top of the
-input file.
+input file.  Every DualGraph is connected, with at least one component:
+construction checks it once, and the code that reads a graph relies on it.
 """
 
 from __future__ import annotations
@@ -130,6 +131,14 @@ class DualGraph:
     crossings: tuple[Crossing, ...]
     gorenstein: GorensteinData | None = None
     closed_world: bool = False
+
+    def __post_init__(self):
+        _check_connected(self)
+
+    @property
+    def cycle_rank(self) -> int:
+        """Number of independent cycles, E - V + 1 (the graph is connected)."""
+        return len(self.crossings) - len(self.components) + 1
 
     def all_smooth_singularities(self) -> list[tuple[Component, SmoothSingularity]]:
         return [
@@ -344,26 +353,31 @@ def graph_from_obj(obj) -> DualGraph:
     if not isinstance(closed_world, bool):
         raise SchemaError("closed_world must be a boolean")
 
-    graph = DualGraph(field, tuple(components), crossings, gorenstein, closed_world)
-    _check_connected(graph)
-    return graph
+    return DualGraph(field, tuple(components), crossings, gorenstein, closed_world)
 
 
 def parse_graph(text: str | bytes) -> DualGraph:
     """Parse a JSON input document into a DualGraph."""
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # bad syntax, bad encoding, or too many digits
+    except (ValueError, RecursionError) as exc:  # syntax, encoding, size, depth
         raise SchemaError(f"invalid JSON: {exc}") from None
     return graph_from_obj(obj)
 
 
 def _check_connected(g: DualGraph):
     ids = [c.id for c in g.components]
+    if not ids:
+        raise SchemaError("a dual graph needs at least one component")
     adjacency: dict[str, list[str]] = {cid: [] for cid in ids}
-    for c in g.crossings:
-        adjacency[c.tail].append(c.head)
-        adjacency[c.head].append(c.tail)
+    try:
+        for c in g.crossings:
+            adjacency[c.tail].append(c.head)
+            adjacency[c.head].append(c.tail)
+    except KeyError as exc:
+        raise UnknownId(
+            f"crossing endpoint {exc.args[0]!r} is not a component"
+        ) from None
     seen = {ids[0]}
     queue = deque([ids[0]])
     while queue:
@@ -442,6 +456,22 @@ def serialize_graph(g: DualGraph, indent: int | None = 2) -> str:
 # Validation
 
 
+def _vertex_sums(field: NumberField, ids, crossings) -> dict[str, list]:
+    """Per component id, over the crossings on it: [sum of the known
+    indices on its side, number of unknown weak indices, crossing count]."""
+    sums = {cid: [field.zero(), 0, 0] for cid in ids}
+    for crossing in crossings:
+        for side in (crossing.tail, crossing.head):
+            entry = sums[side]
+            value = crossing.cs_on(side, field)
+            if value is None:
+                entry[1] += 1
+            else:
+                entry[0] = entry[0] + value
+            entry[2] += 1
+    return sums
+
+
 def validate_indices(g: DualGraph) -> list[Finding]:
     """Check the decorated graph against the index bookkeeping rules.
 
@@ -452,10 +482,7 @@ def validate_indices(g: DualGraph) -> list[Finding]:
     """
     findings: list[Finding] = []
     field = g.field
-    incident: dict[str, list[Crossing]] = {comp.id: [] for comp in g.components}
-    for crossing in g.crossings:
-        incident[crossing.tail].append(crossing)
-        incident[crossing.head].append(crossing)
+    sums = _vertex_sums(field, [comp.id for comp in g.components], g.crossings)
 
     if g.closed_world:
         for comp in g.components:
@@ -468,14 +495,7 @@ def validate_indices(g: DualGraph) -> list[Finding]:
                 ))
 
     for comp in g.components:
-        total = field.zero()
-        unknown = 0
-        for crossing in incident[comp.id]:
-            value = crossing.cs_on(comp.id, field)
-            if value is None:
-                unknown += 1
-            else:
-                total = total + value
+        total, unknown, _ = sums[comp.id]
         for sing in comp.smooth_singularities:
             if sing.cs is None:
                 unknown += 1
@@ -530,7 +550,7 @@ def validate_indices(g: DualGraph) -> list[Finding]:
                 ))
 
     for comp in g.components:
-        z = len(incident[comp.id]) + len(comp.smooth_singularities)
+        z = sums[comp.id][2] + len(comp.smooth_singularities)
         findings.append(Finding(
             "info", "component-degree",
             f"{comp.id}: {z} singular point(s); implied normal bundle "
@@ -609,12 +629,10 @@ def induced_subcurve(g: DualGraph, keep: Iterable[str]) -> DualGraph:
         )
 
     any_cut = any(extra[cid] for cid in extra)
-    sub = DualGraph(
-        g.field, components, tuple(internal), gorenstein,
-        g.closed_world and not any_cut,
-    )
     try:
-        _check_connected(sub)
+        return DualGraph(
+            g.field, components, tuple(internal), gorenstein,
+            g.closed_world and not any_cut,
+        )
     except Disconnected as exc:
         raise DisconnectedSelection(str(exc)) from None
-    return sub

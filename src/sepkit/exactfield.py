@@ -23,6 +23,9 @@ elimination with an integer back substitution, so the d coordinates are
 the only Fractions it builds.  M is singular exactly
 when u is a zero divisor, which raises DivisionByZero.  Degree 1 uses
 the plain Fraction operations.
+
+One Bareiss forward elimination (`_bareiss`) serves both the inverse and
+the Q-rank of a span of elements (`fraction_free_rank`).
 """
 
 from __future__ import annotations
@@ -122,40 +125,53 @@ def _has_rational_root(full: Sequence[Fraction]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _solve_unit(cols: list[list[int]]) -> tuple[list[int], int]:
-    """Integers y and D != 0 with sum_j (y_j / D) cols[j] = e0.
+def _bareiss(a: list[list[int]], n_cols: int) -> tuple[int, int]:
+    """Bareiss fraction-free forward elimination of a, in place.
 
-    Bareiss fraction-free elimination with row pivoting on the square
-    integer matrix whose columns are cols, augmented by e0.  D is the last
-    pivot, +-det; by Cramer's rule D times each unknown is an integer, so
-    the back substitution divides exactly.  A missing pivot means the
-    matrix is singular: the element it came from is a zero divisor.
+    Pivots are taken in the first n_cols columns with row pivoting, and a
+    column without one is skipped; the rows are updated over their full
+    width, so a right-hand side past n_cols is carried along.  Returns the
+    rank and the last pivot.
     """
-    n = len(cols)
-    a = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
-    prev = 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if a[r][k]), None)
+    rank, prev = 0, 1
+    for k in range(n_cols):
+        pivot = next((r for r in range(rank, len(a)) if a[r][k]), None)
         if pivot is None:
-            # m is reducible and the element shares a factor with it.
-            raise DivisionByZero(
-                "element is not invertible; the declared minimal polynomial "
-                "is reducible"
-            )
-        a[k], a[pivot] = a[pivot], a[k]
-        top = a[k]
-        for row in a[k + 1:]:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        top = a[rank]
+        for row in a[rank + 1:]:
             lead = row[k]
-            for c in range(k + 1, n + 1):
+            for c in range(k + 1, len(top)):
                 row[c] = (top[k] * row[c] - lead * top[c]) // prev
             row[k] = 0
         prev = top[k]
+        rank += 1
+    return rank, prev
+
+
+def _solve_unit(cols: list[list[int]]) -> tuple[list[int], int]:
+    """Integers y and D != 0 with sum_j (y_j / D) cols[j] = e0.
+
+    Bareiss elimination of the square integer matrix with these columns,
+    augmented by e0.  D is the last pivot, +-det; by Cramer's rule D times
+    each unknown is an integer, so the back substitution divides exactly.
+    Rank below n: the matrix is singular, its element a zero divisor.
+    """
+    n = len(cols)
+    a = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
+    rank, det = _bareiss(a, n)
+    if rank < n:
+        raise DivisionByZero(
+            "element is not invertible; the declared minimal polynomial "
+            "is reducible"
+        )
     y = [0] * n
     for k in reversed(range(n)):
         row = a[k]
-        acc = prev * row[n] - sum(row[c] * y[c] for c in range(k + 1, n))
+        acc = det * row[n] - sum(row[c] * y[c] for c in range(k + 1, n))
         y[k] = acc // row[k]
-    return y, prev
+    return y, det
 
 
 # ---------------------------------------------------------------------------
@@ -484,30 +500,9 @@ def is_root_of_unity(u: FieldElement) -> int | None:
 
 def fraction_free_rank(rows: list[list[int]]) -> int:
     """Rank of an integer matrix by Bareiss fraction-free elimination."""
-    m = [list(r) for r in rows]
-    if not m:
+    if not rows:
         return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank, row, prev = 0, 0, 1
-    for col in range(n_cols):
-        pivot_row = None
-        for r in range(row, n_rows):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        for r in range(row + 1, n_rows):
-            for c in range(col + 1, n_cols):
-                m[r][c] = (m[row][col] * m[r][c] - m[r][col] * m[row][c]) // prev
-            m[r][col] = 0
-        prev = m[row][col]
-        rank += 1
-        row += 1
-        if row == n_rows:
-            break
-    return rank
+    return _bareiss([list(r) for r in rows], len(rows[0]))[0]
 
 
 def rational_span_dimension(elements: Sequence[FieldElement]) -> int:

@@ -23,6 +23,7 @@ from .dualgraph import (
     Crossing,
     DualGraph,
     SmoothSingularity,
+    _vertex_sums,
 )
 from .errors import BadParams
 from .exactfield import NumberField
@@ -38,14 +39,9 @@ def _pad(field, cid: str, remainder) -> tuple[SmoothSingularity, ...]:
 
 def _assemble(field, names, self_ints, crossings) -> DualGraph:
     """Attach self-intersections and balancing pad singularities."""
-    totals = {cid: field.zero() for cid in names}
-    for crossing in crossings:
-        for side in (crossing.tail, crossing.head):
-            value = crossing.cs_on(side, field)
-            if value is not None:
-                totals[side] = totals[side] + value
+    sums = _vertex_sums(field, names, crossings)
     components = tuple(
-        Component(cid, e, 0, _pad(field, cid, field.from_rational(e) - totals[cid]))
+        Component(cid, e, 0, _pad(field, cid, field.from_rational(e) - sums[cid][0]))
         for cid, e in zip(names, self_ints)
     )
     return DualGraph(field, components, tuple(crossings))
@@ -225,21 +221,15 @@ def _random_crossing(rng, field, tail: str, head: str, p_sn: float) -> Crossing:
 
 
 def _finish_random(rng, field, names, crossings) -> DualGraph:
-    degree = {cid: 0 for cid in names}
-    totals = {cid: field.zero() for cid in names}
-    for crossing in crossings:
-        for side in (crossing.tail, crossing.head):
-            degree[side] += 1
-            value = crossing.cs_on(side, field)
-            if value is not None:
-                totals[side] = totals[side] + value
+    sums = _vertex_sums(field, names, crossings)
     # Strict diagonal dominance forces the matrix negative definite; the
     # extra decrement when the sum would balance exactly keeps a pad
     # singularity on every component, so each one declares a separatrix.
     self_ints = []
     for cid in names:
-        e = -(degree[cid] + 1 + rng.randint(0, 2))
-        if field.from_rational(e) == totals[cid]:
+        total, _, degree = sums[cid]
+        e = -(degree + 1 + rng.randint(0, 2))
+        if field.from_rational(e) == total:
             e -= 1
         self_ints.append(e)
     return _assemble(field, names, self_ints, crossings)
@@ -252,16 +242,7 @@ def make_random_tree(seed, n: int = 8, saddle_node_probability: float = 0.3) -> 
     side, weak index always supplied); self-intersections are chosen
     diagonally dominant, so the intersection matrix is negative definite.
     """
-    _check_tree_params(n, saddle_node_probability)
-    rng = random.Random(seed)
-    field = _RATIONALS
-    names = [f"E{i}" for i in range(1, n + 1)]
-    crossings = [
-        _random_crossing(rng, field, f"E{rng.randrange(1, i)}", f"E{i}",
-                         saddle_node_probability)
-        for i in range(2, n + 1)
-    ]
-    return _finish_random(rng, field, names, crossings)
+    return make_random_graph(seed, n, 0, saddle_node_probability)
 
 
 def make_random_graph(

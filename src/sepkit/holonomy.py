@@ -6,7 +6,8 @@ traversed backwards the reciprocal, -cs_tail.  Both indices are read off
 the crossing, so no weight inverts or divides.  Products of weights
 around the fundamental cycles of a deterministic spanning tree classify
 the representation as trivial, torsion, infinite, or indeterminate when
-a saddle-node sits on a cycle and its weight is undefined.
+a saddle-node sits on a cycle and its weight is undefined.  A DualGraph
+is connected by construction, so the spanning tree reaches every component.
 
 The dual convention (minus the tail-side index, -cs_tail) is exposed as
 well; it yields exactly the inverse holonomy on every cycle, so the
@@ -18,14 +19,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import lcm
-from typing import Sequence
 
 from .dualgraph import NONDEGENERATE, DualGraph
-from .errors import (
-    Disconnected,
-    NontrivialRepresentation,
-    SaddleNodePresent,
-)
+from .errors import NontrivialRepresentation, SaddleNodePresent
 from .exactfield import FieldElement, is_root_of_unity
 
 HEAD_SIDE = "head_side"
@@ -62,20 +58,15 @@ class CycleBasis:
     cycles: tuple[tuple[CycleStep, ...], ...]
 
 
-def cycle_basis(g: DualGraph, crossing_order: Sequence[int] | None = None) -> CycleBasis:
+def cycle_basis(g: DualGraph) -> CycleBasis:
     """Fundamental cycles of a breadth-first spanning tree.
 
     The tree is rooted at the first-listed component and built scanning
-    crossings in input order, which makes the basis deterministic.  An
-    explicit crossing_order overrides the scan order (used to show the
-    classification does not depend on the tree).
+    crossings in input order, which makes the basis deterministic.
     """
     ids = [c.id for c in g.components]
-    order = list(range(len(g.crossings))) if crossing_order is None \
-        else list(crossing_order)
     adjacency: dict[str, list[int]] = {cid: [] for cid in ids}
-    for idx in order:
-        crossing = g.crossings[idx]
+    for idx, crossing in enumerate(g.crossings):
         adjacency[crossing.tail].append(idx)
         adjacency[crossing.head].append(idx)
 
@@ -93,9 +84,6 @@ def cycle_basis(g: DualGraph, crossing_order: Sequence[int] | None = None) -> Cy
                 parent[w] = (idx, v)
                 tree.append(idx)
                 queue.append(w)
-    if len(depth) != len(ids):
-        missing = [cid for cid in ids if cid not in depth]
-        raise Disconnected(f"graph is not connected; unreachable: {missing}")
 
     tree_set = set(tree)
 
@@ -178,12 +166,10 @@ class RepresentationClass:
 
 
 def representation_class(
-    g: DualGraph,
-    convention: str = HEAD_SIDE,
-    crossing_order: Sequence[int] | None = None,
+    g: DualGraph, convention: str = HEAD_SIDE
 ) -> RepresentationClass:
     """Classify the representation from the fundamental cycle holonomies."""
-    basis = cycle_basis(g, crossing_order)
+    basis = cycle_basis(g)
     one = g.field.one()
     holonomies: list[FieldElement | None] = []
     offending: list[int] = []

@@ -195,10 +195,10 @@ def _rep_evidence(rep) -> str:
 
 
 def check_dual_graph_is_tree(a: GraphAnalysis):
-    g, cycles = a.graph, a.representation.basis.cycles
-    return not cycles, (
+    g = a.graph
+    return g.cycle_rank == 0, (
         f"{len(g.components)} component(s), {len(g.crossings)} crossing(s), "
-        f"{len(cycles)} independent cycle(s)"
+        f"{g.cycle_rank} independent cycle(s)"
     )
 
 
@@ -360,10 +360,9 @@ def toma_prune(g: DualGraph) -> tuple[str, ...]:
     exists because n nodes cannot all receive one of n-1 arrows.  Ties are
     broken toward the component containing the earliest-listed vertex.
 
-    Parsed graphs and induced subcurves are connected, and a connected
-    graph is a tree iff it has one crossing fewer than components.
+    A DualGraph is connected, so it is a tree iff its cycle rank is 0.
     """
-    if len(g.crossings) != len(g.components) - 1:
+    if g.cycle_rank:
         raise NotATree("pruning is defined for tree dual graphs only")
 
     parent: dict[str, str] = {c.id: c.id for c in g.components}

@@ -181,11 +181,14 @@ class TestValidate:
         ("non_utf8", "error: invalid JSON: 'utf-8' codec can't decode"),
         ("long_number", "error: invalid JSON: Exceeds the limit"),
         ("long_rational", "error: rational literal too long: 5000 characters"),
-    ], ids=["non_utf8", "long_number", "long_rational"])
+        ("deep_nesting", "error: invalid JSON: maximum recursion depth exceeded"),
+    ], ids=["non_utf8", "long_number", "long_rational", "deep_nesting"])
     def test_input_past_decoder_limits(self, tmp_path, capsys, kind, message):
         text = serialize_graph(make_camacho_cycle()[0])
         if kind == "non_utf8":
             data = b'{"a": "\xff"}'
+        elif kind == "deep_nesting":
+            data = b"[" * 100000
         elif kind == "long_number":
             data = text.replace('"self_intersection": -2',
                                 '"self_intersection": ' + "9" * 5000, 1).encode()
@@ -196,7 +199,9 @@ class TestValidate:
         path = tmp_path / "input.json"
         path.write_bytes(data)
         assert run_cli(["validate", "--input", str(path)]) == 1
-        assert capsys.readouterr().err.startswith(message)
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "Traceback" not in err
 
     def test_missing_file(self, tmp_path, capsys):
         rc = run_cli(["validate", "--input", str(tmp_path / "absent.json")])

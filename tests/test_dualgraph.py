@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from sepkit.dualgraph import (
     SADDLE_NODE,
     SN_STRONG_ON_CURVE,
     SN_WEAK_ON_CURVE,
+    Component,
+    DualGraph,
     graph_from_obj,
     graph_to_obj,
     has_errors,
@@ -141,6 +144,19 @@ class TestParsing:
         obj["crossings"].pop()
         with pytest.raises(Disconnected):
             graph_from_obj(obj)
+
+    def test_dropping_a_bridge_crossing_is_rejected(self):
+        g = graph_from_obj(chain_obj())
+        with pytest.raises(Disconnected):
+            dataclasses.replace(g, crossings=g.crossings[:1])
+
+    def test_hand_built_graph_errors_are_typed(self):
+        g = graph_from_obj(chain_obj())
+        with pytest.raises(SchemaError, match="at least one component"):
+            DualGraph(g.field, (), ())
+        with pytest.raises(UnknownId, match="'E9'"):
+            DualGraph(g.field, (Component("E1", -1),),
+                      (dataclasses.replace(g.crossings[0], head="E9"),))
 
     def test_unknown_keys_rejected(self):
         obj = chain_obj()

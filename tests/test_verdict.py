@@ -17,6 +17,7 @@ from sepkit.dualgraph import (
     validate_indices,
 )
 from sepkit.errors import (
+    Disconnected,
     GorensteinInconsistent,
     HypothesisUnmet,
     NotATree,
@@ -159,6 +160,20 @@ class TestTomaPrune:
         ]:
             with pytest.raises(NotATree):
                 toma_prune(g)
+
+    def test_triangle_plus_isolated_component_is_no_graph(self):
+        # As many crossings as components less one, but a cycle plus an
+        # isolated vertex: a count-based tree test would accept it.
+        with pytest.raises(Disconnected):
+            DualGraph(
+                QQ,
+                tuple(Component(cid, -2) for cid in ("E1", "E2", "E3", "E4")),
+                (
+                    Crossing("E1", "E2", NONDEGENERATE, cs_tail=q(-1)),
+                    Crossing("E2", "E3", NONDEGENERATE, cs_tail=q(-1)),
+                    Crossing("E1", "E3", NONDEGENERATE, cs_tail=q(-1)),
+                ),
+            )
 
     def test_matches_exhaustive_oracle(self):
         for seed in range(250):
