@@ -126,29 +126,25 @@ def _poly_text(coeffs) -> str:
 
 
 def _example_params(args) -> dict:
-    params: dict = {}
+    """The generator parameters given on the command line, and no others."""
+    params = {
+        name: getattr(args, name)
+        for name in ("t", "seed", "n", "saddle_node_probability")
+        if getattr(args, name) is not None
+    }
     if args.self_intersections is not None:
         try:
-            values = tuple(int(v) for v in args.self_intersections.split(","))
+            params["self_intersections"] = tuple(
+                int(v) for v in args.self_intersections.split(","))
         except ValueError:
             raise BadParams(
                 "--self-intersections expects comma-separated integers"
             ) from None
-        params["self_intersections"] = values
-    if args.t is not None:
-        params["t"] = args.t
-    seed = args.seed
-    if os.environ.get("SEPKIT_SEED"):
+    if args.name == "random_tree" and os.environ.get("SEPKIT_SEED"):
         try:
-            seed = int(os.environ["SEPKIT_SEED"])
+            params["seed"] = int(os.environ["SEPKIT_SEED"])
         except ValueError:
             raise BadParams("SEPKIT_SEED must be an integer") from None
-    if args.name == "random_tree":
-        params["seed"] = seed if seed is not None else 0
-        if args.n is not None:
-            params["n"] = args.n
-        if args.saddle_node_probability is not None:
-            params["saddle_node_probability"] = args.saddle_node_probability
     return params
 
 

@@ -17,7 +17,6 @@ construction checks it once, and the code that reads a graph relies on it.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
@@ -133,7 +132,15 @@ class DualGraph:
     closed_world: bool = False
 
     def __post_init__(self):
-        _check_connected(self)
+        ids = [c.id for c in self.components]
+        if not ids:
+            raise SchemaError("a dual graph needs at least one component")
+        piece = _pieces(ids, self.crossings)
+        missing = [cid for cid in ids if piece[cid] != ids[0]]
+        if missing:
+            raise Disconnected(
+                f"dual graph is not connected; unreachable from {ids[0]!r}: {missing}"
+            )
 
     @property
     def cycle_rank(self) -> int:
@@ -149,6 +156,32 @@ class DualGraph:
 
     def has_saddle_node_crossing(self) -> bool:
         return any(c.kind == SADDLE_NODE for c in self.crossings)
+
+
+def _pieces(ids: list[str], crossings: Iterable[Crossing]) -> dict[str, str]:
+    """The connected pieces when only `crossings` join the components `ids`:
+    each id maps to the first id, in `ids` order, of its piece."""
+    adjacency: dict[str, list[str]] = {cid: [] for cid in ids}
+    try:
+        for c in crossings:
+            adjacency[c.tail].append(c.head)
+            adjacency[c.head].append(c.tail)
+    except KeyError as exc:
+        raise UnknownId(
+            f"crossing endpoint {exc.args[0]!r} is not a component"
+        ) from None
+    piece: dict[str, str] = {}
+    for start in ids:
+        if start in piece:
+            continue
+        piece[start] = start
+        stack = [start]
+        while stack:
+            for w in adjacency[stack.pop()]:
+                if w not in piece:
+                    piece[w] = start
+                    stack.append(w)
+    return piece
 
 
 @dataclass(frozen=True)
@@ -171,88 +204,147 @@ class Finding:
 
 # ---------------------------------------------------------------------------
 # Parsing
+#
+# Every position of the input document is read through one of the readers
+# below, so each schema rule is written once and a value of the wrong shape
+# ends in a SchemaError (UnknownId for a reference), wherever it stands.
+# `where` names the position in the messages.
 
 
-def _require_keys(obj: dict, where: str, required: set, optional: set):
-    missing = required - set(obj)
-    if missing:
-        raise SchemaError(f"{where}: missing keys {sorted(missing)}")
-    unknown = set(obj) - required - optional
-    if unknown:
-        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
+def _keys(required: str, optional: str = "") -> tuple[frozenset, frozenset]:
+    """(required, allowed) key sets of a record, from space-separated names."""
+    required_set = frozenset(required.split())
+    return required_set, required_set | frozenset(optional.split())
 
 
-def _parse_smooth_singularity(obj, field: NumberField, where: str) -> SmoothSingularity:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: singularity must be an object")
-    _require_keys(obj, where, {"id", "kind", "cs"}, {"separatrix"})
-    sid = obj["id"]
-    if not isinstance(sid, str) or not sid:
-        raise SchemaError(f"{where}: id must be a non-empty string")
-    if sid.startswith(CUT_PREFIX):
-        raise SchemaError(f"{where}: the id prefix {CUT_PREFIX!r} is reserved")
-    kind = obj["kind"]
-    if kind not in SMOOTH_KINDS:
+_INPUT_KEYS = _keys("field components crossings", "gorenstein closed_world")
+_COMPONENT_KEYS = _keys("id self_intersection", "genus smooth_singularities")
+_SINGULARITY_KEYS = _keys("id kind cs", "separatrix")
+_CROSSING_KEYS = {
+    NONDEGENERATE: _keys("tail head kind cs_tail"),
+    SADDLE_NODE: _keys("tail head kind weak", "cs_weak"),
+}
+_CROSSING_KINDS = tuple(_CROSSING_KEYS)
+_GORENSTEIN_KEYS = _keys("k a")
+_INTEGER = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+
+
+def _object(value, where: str, keys: tuple[frozenset, frozenset] | None = None) -> dict:
+    """`value` as a JSON object; given `keys` from `_keys`, one that holds
+    every required key and no key outside the allowed ones."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where} must be an object")
+    if keys is not None and not keys[0] <= value.keys() <= keys[1]:
+        missing = keys[0] - value.keys()
+        if missing:
+            raise SchemaError(f"{where}: missing keys {sorted(missing)}")
+        unknown = sorted(value.keys() - keys[1], key=str)
+        raise SchemaError(f"{where}: unknown keys {unknown}")
+    return value
+
+
+def _array(value, where: str, nonempty: bool = False) -> list:
+    if not isinstance(value, list) or (nonempty and not value):
+        article = "a non-empty" if nonempty else "an"
+        raise SchemaError(f"{where} must be {article} array")
+    return value
+
+
+def _int(value, where: str, least: int | None = None) -> int:
+    """`value` as a JSON integer (a boolean is not one), at least `least`."""
+    if type(value) is not int or (least is not None and value < least):
+        raise SchemaError(f"{where} must be {_INTEGER[least]}")
+    return value
+
+
+def _bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(f"{where} must be a boolean")
+    return value
+
+
+def _kind(obj: dict, where: str, kinds: tuple) -> str:
+    """The "kind" of the record `obj`, one of `kinds` (compared by ==, so
+    an unhashable value is an unknown kind, not a TypeError)."""
+    kind = obj.get("kind")
+    if kind not in kinds:
+        if "kind" not in obj:
+            raise SchemaError(f"{where}: missing keys ['kind']")
         raise SchemaError(f"{where}: unknown kind {kind!r}")
-    raw_cs = obj["cs"]
-    cs = None if raw_cs is None else field.parse_element(raw_cs)
-    if kind == NONDEGENERATE:
-        if cs is None or cs.is_zero:
-            raise SchemaError(
-                f"{where}: a nondegenerate singularity needs a nonzero cs"
-            )
-        separatrix = obj.get("separatrix", True)
-        if separatrix is not True:
-            raise SchemaError(
-                f"{where}: a nondegenerate singularity always carries a "
-                "transverse separatrix"
-            )
-    elif kind == SN_STRONG_ON_CURVE:
+    return kind
+
+
+def _fresh_id(value, where: str, seen: set[str]) -> str:
+    """`value` as an id not in `seen`, which it then joins."""
+    if not isinstance(value, str) or not value:
+        raise SchemaError(f"{where}: id must be a non-empty string")
+    if value.startswith(CUT_PREFIX):
+        raise SchemaError(f"{where}: the id prefix {CUT_PREFIX!r} is reserved")
+    if value in seen:
+        raise SchemaError(f"{where}: duplicate id {value!r}")
+    seen.add(value)
+    return value
+
+
+def _position(value, where: str, positions: dict[str, int]) -> int:
+    """Input position of the component that `value` names."""
+    position = positions.get(value) if isinstance(value, str) else None
+    if position is None:
+        raise UnknownId(f"{where}: unknown component id {value!r}")
+    return position
+
+
+def _per_component(value, where: str, positions: dict[str, int]) -> dict:
+    """`value` as a JSON object keyed by exactly the component ids."""
+    obj = _object(value, where)
+    for cid in obj:
+        _position(cid, where, positions)
+    for cid in positions:
+        if cid not in obj:
+            raise SchemaError(f"{where} must cover component {cid!r}")
+    return obj
+
+
+def _parse_smooth_singularity(raw, field: NumberField, where: str,
+                              seen: set[str]) -> SmoothSingularity:
+    obj = _object(raw, where, _SINGULARITY_KEYS)
+    sid = _fresh_id(obj["id"], where, seen)
+    kind = _kind(obj, where, SMOOTH_KINDS)
+    cs = None if obj["cs"] is None else field.parse_element(obj["cs"])
+    if kind == NONDEGENERATE and (cs is None or cs.is_zero):
+        raise SchemaError(f"{where}: a nondegenerate singularity needs a nonzero cs")
+    if kind == SN_STRONG_ON_CURVE:
         if cs is not None and not cs.is_zero:
-            raise SchemaError(
-                f"{where}: the strong side of a saddle-node has index 0"
-            )
+            raise SchemaError(f"{where}: the strong side of a saddle-node has index 0")
         cs = field.zero()
-        separatrix = obj.get("separatrix", False)
-    else:  # weak separatrix on the curve; None means the index is unknown
-        separatrix = obj.get("separatrix", True)
-    if not isinstance(separatrix, bool):
-        raise SchemaError(f"{where}: separatrix must be a boolean")
+    # On the weak side cs may stay None: the index is unknown.
+    separatrix = _bool(obj.get("separatrix", kind != SN_STRONG_ON_CURVE),
+                       f"{where}.separatrix")
+    if kind == NONDEGENERATE and not separatrix:
+        raise SchemaError(f"{where}: a nondegenerate singularity always carries "
+                          "a transverse separatrix")
     return SmoothSingularity(sid, kind, cs, separatrix)
 
 
-def _parse_crossing(
-    obj, field: NumberField, positions: dict[str, int], where: str
-) -> Crossing:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: crossing must be an object")
-    if "kind" not in obj:
-        raise SchemaError(f"{where}: missing keys ['kind']")
-    kind = obj["kind"]
-    if kind == NONDEGENERATE:
-        _require_keys(obj, where, {"tail", "head", "kind", "cs_tail"}, set())
-    elif kind == SADDLE_NODE:
-        _require_keys(obj, where, {"tail", "head", "kind", "weak"}, {"cs_weak"})
-    else:
-        raise SchemaError(f"{where}: unknown crossing kind {kind!r}")
+def _parse_crossing(raw, field: NumberField, positions: dict[str, int],
+                    where: str) -> Crossing:
+    kind = _kind(_object(raw, where), where, _CROSSING_KINDS)
+    obj = _object(raw, where, _CROSSING_KEYS[kind])
     tail, head = obj["tail"], obj["head"]
-    for cid in (tail, head):
-        if not isinstance(cid, str) or cid not in positions:
-            raise UnknownId(f"{where}: unknown component id {cid!r}")
-    if tail == head:
+    tail_at, head_at = (_position(tail, where, positions),
+                        _position(head, where, positions))
+    if tail_at == head_at:
         raise SelfLoop(
             f"{where}: component {tail!r} crosses itself; self-crossings are "
             "not representable here, blow up the crossing point first and "
             "re-enter the resulting configuration"
         )
-    flip = positions[tail] > positions[head]
     if kind == NONDEGENERATE:
         cs_tail = field.parse_element(obj["cs_tail"])
         if cs_tail.is_zero:
             raise SchemaError(
-                f"{where}: a nondegenerate crossing needs a nonzero cs_tail"
-            )
-        if not flip:
+                f"{where}: a nondegenerate crossing needs a nonzero cs_tail")
+        if tail_at < head_at:
             return Crossing(tail, head, NONDEGENERATE, cs_tail=cs_tail)
         crossing = Crossing(head, tail, NONDEGENERATE, cs_tail=cs_tail.inverse())
         # The given index is the head side: fill the cached_property with it.
@@ -263,96 +355,46 @@ def _parse_crossing(
         raise SchemaError(f"{where}: weak must name one of the two endpoints")
     raw_weak = obj.get("cs_weak")
     cs_weak = None if raw_weak is None else field.parse_element(raw_weak)
-    if flip:
+    if tail_at > head_at:
         tail, head = head, tail
     return Crossing(tail, head, SADDLE_NODE, weak=weak, cs_weak=cs_weak)
 
 
 def graph_from_obj(obj) -> DualGraph:
     """Build a DualGraph from a decoded JSON object."""
-    if not isinstance(obj, dict):
-        raise SchemaError("input must be a JSON object")
-    _require_keys(
-        obj, "input", {"field", "components", "crossings"},
-        {"gorenstein", "closed_world"},
-    )
+    obj = _object(obj, "input", _INPUT_KEYS)
     field = NumberField.from_json(obj["field"])
 
-    raw_components = obj["components"]
-    if not isinstance(raw_components, list) or not raw_components:
-        raise SchemaError("components must be a non-empty array")
     components = []
-    seen_ids: set[str] = set()
-    for i, raw in enumerate(raw_components):
+    seen: set[str] = set()
+    for i, raw in enumerate(_array(obj["components"], "components", nonempty=True)):
         where = f"components[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{where}: component must be an object")
-        _require_keys(
-            raw, where, {"id", "self_intersection"},
-            {"genus", "smooth_singularities"},
+        raw = _object(raw, where, _COMPONENT_KEYS)
+        cid = _fresh_id(raw["id"], where, seen)
+        selfint = _int(raw["self_intersection"], f"{where}.self_intersection")
+        genus = _int(raw.get("genus", 0), f"{where}.genus", least=0)
+        sings_at = f"{where}.smooth_singularities"
+        sings = tuple(
+            _parse_smooth_singularity(sing, field, f"{sings_at}[{j}]", seen)
+            for j, sing in enumerate(_array(raw.get("smooth_singularities", []),
+                                            sings_at))
         )
-        cid = raw["id"]
-        if not isinstance(cid, str) or not cid:
-            raise SchemaError(f"{where}: id must be a non-empty string")
-        if cid.startswith(CUT_PREFIX):
-            raise SchemaError(f"{where}: the id prefix {CUT_PREFIX!r} is reserved")
-        if cid in seen_ids:
-            raise SchemaError(f"{where}: duplicate id {cid!r}")
-        seen_ids.add(cid)
-        selfint = raw["self_intersection"]
-        if not isinstance(selfint, int) or isinstance(selfint, bool):
-            raise SchemaError(f"{where}: self_intersection must be an integer")
-        genus = raw.get("genus", 0)
-        if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
-            raise SchemaError(f"{where}: genus must be a non-negative integer")
-        sings = []
-        for j, raw_sing in enumerate(raw.get("smooth_singularities", [])):
-            sing = _parse_smooth_singularity(
-                raw_sing, field, f"{where}.smooth_singularities[{j}]"
-            )
-            if sing.id in seen_ids:
-                raise SchemaError(f"{where}: duplicate id {sing.id!r}")
-            seen_ids.add(sing.id)
-            sings.append(sing)
-        components.append(Component(cid, selfint, genus, tuple(sings)))
-    ids = [c.id for c in components]
-    positions = {cid: i for i, cid in enumerate(ids)}
+        components.append(Component(cid, selfint, genus, sings))
+    positions = {comp.id: i for i, comp in enumerate(components)}
 
-    raw_crossings = obj["crossings"]
-    if not isinstance(raw_crossings, list):
-        raise SchemaError("crossings must be an array")
     crossings = tuple(
         _parse_crossing(raw, field, positions, f"crossings[{i}]")
-        for i, raw in enumerate(raw_crossings)
+        for i, raw in enumerate(_array(obj["crossings"], "crossings"))
     )
-
     gorenstein = None
     if obj.get("gorenstein") is not None:
-        raw_g = obj["gorenstein"]
-        _require_keys(raw_g, "gorenstein", {"k", "a"}, set())
-        k = raw_g["k"]
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise SchemaError("gorenstein.k must be a positive integer")
-        raw_a = raw_g["a"]
-        if not isinstance(raw_a, dict):
-            raise SchemaError("gorenstein.a must be an object")
-        for cid in raw_a:
-            if cid not in positions:
-                raise UnknownId(f"gorenstein.a: unknown component id {cid!r}")
-        coeffs = []
-        for cid in ids:
-            if cid not in raw_a:
-                raise SchemaError(f"gorenstein.a must cover component {cid!r}")
-            value = raw_a[cid]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise SchemaError(f"gorenstein.a[{cid!r}] must be an integer")
-            coeffs.append((cid, value))
-        gorenstein = GorensteinData(k, tuple(coeffs))
-
-    closed_world = obj.get("closed_world", False)
-    if not isinstance(closed_world, bool):
-        raise SchemaError("closed_world must be a boolean")
-
+        raw_g = _object(obj["gorenstein"], "gorenstein", _GORENSTEIN_KEYS)
+        k = _int(raw_g["k"], "gorenstein.k", least=1)
+        a = _per_component(raw_g["a"], "gorenstein.a", positions)
+        gorenstein = GorensteinData(k, tuple(
+            (cid, _int(a[cid], f"gorenstein.a[{cid!r}]")) for cid in positions
+        ))
+    closed_world = _bool(obj.get("closed_world", False), "closed_world")
     return DualGraph(field, tuple(components), crossings, gorenstein, closed_world)
 
 
@@ -363,34 +405,6 @@ def parse_graph(text: str | bytes) -> DualGraph:
     except (ValueError, RecursionError) as exc:  # syntax, encoding, size, depth
         raise SchemaError(f"invalid JSON: {exc}") from None
     return graph_from_obj(obj)
-
-
-def _check_connected(g: DualGraph):
-    ids = [c.id for c in g.components]
-    if not ids:
-        raise SchemaError("a dual graph needs at least one component")
-    adjacency: dict[str, list[str]] = {cid: [] for cid in ids}
-    try:
-        for c in g.crossings:
-            adjacency[c.tail].append(c.head)
-            adjacency[c.head].append(c.tail)
-    except KeyError as exc:
-        raise UnknownId(
-            f"crossing endpoint {exc.args[0]!r} is not a component"
-        ) from None
-    seen = {ids[0]}
-    queue = deque([ids[0]])
-    while queue:
-        v = queue.popleft()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    missing = [cid for cid in ids if cid not in seen]
-    if missing:
-        raise Disconnected(
-            f"dual graph is not connected; unreachable from {ids[0]!r}: {missing}"
-        )
 
 
 # ---------------------------------------------------------------------------

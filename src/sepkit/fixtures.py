@@ -12,6 +12,7 @@ constraint; its root generates the number field the instance lives in.
 
 from __future__ import annotations
 
+import inspect
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -37,9 +38,9 @@ def _pad(field, cid: str, remainder) -> tuple[SmoothSingularity, ...]:
     return (SmoothSingularity(f"{cid}:pad", NONDEGENERATE, remainder, True),)
 
 
-def _assemble(field, names, self_ints, crossings) -> DualGraph:
-    """Attach self-intersections and balancing pad singularities."""
-    sums = _vertex_sums(field, names, crossings)
+def _assemble(field, names, self_ints, crossings, sums) -> DualGraph:
+    """Attach self-intersections and the pad singularities that balance
+    the vertex sums `sums` (from `_vertex_sums`) of the crossings."""
     components = tuple(
         Component(cid, e, 0, _pad(field, cid, field.from_rational(e) - sums[cid][0]))
         for cid, e in zip(names, self_ints)
@@ -194,7 +195,9 @@ def make_torsion4() -> DualGraph:
         Crossing("E2", "E3", NONDEGENERATE, cs_tail=i),
         Crossing("E1", "E3", NONDEGENERATE, cs_tail=i),
     )
-    return _assemble(field, ("E1", "E2", "E3"), (-2, -2, -3), crossings)
+    names = ("E1", "E2", "E3")
+    return _assemble(field, names, (-2, -2, -3), crossings,
+                     _vertex_sums(field, names, crossings))
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +235,11 @@ def _finish_random(rng, field, names, crossings) -> DualGraph:
         if field.from_rational(e) == total:
             e -= 1
         self_ints.append(e)
-    return _assemble(field, names, self_ints, crossings)
+    return _assemble(field, names, self_ints, crossings, sums)
 
 
-def make_random_tree(seed, n: int = 8, saddle_node_probability: float = 0.3) -> DualGraph:
+def make_random_tree(seed=0, n: int = 8,
+                     saddle_node_probability: float = 0.3) -> DualGraph:
     """Random tree over Q: reproducible for a given seed, always valid.
 
     Crossings are saddle-nodes with the given probability (random weak
@@ -300,26 +304,26 @@ def make_quadratic_chain(seed, length: int = 3) -> DualGraph:
 # Dispatch used by the command line
 
 
+_EXAMPLES = {
+    "camacho": make_camacho_cycle,
+    "p2_cycle": make_p2_cycle,
+    "torsion4": make_torsion4,
+    "random_tree": make_random_tree,
+}
+
+
 def generate_example(name: str, **params) -> tuple[DualGraph, dict]:
-    """Build a named example; the dict carries generator-specific extras."""
-    if name == "camacho":
-        graph, constraint = make_camacho_cycle(
-            params.pop("self_intersections", (-2, -2, -3))
-        )
-        extra = {"constraint_polynomial": list(constraint)}
-    elif name == "p2_cycle":
-        graph, extra = make_p2_cycle(params.pop("t", 2)), {}
-    elif name == "torsion4":
-        graph, extra = make_torsion4(), {}
-    elif name == "random_tree":
-        graph = make_random_tree(
-            params.pop("seed", 0),
-            params.pop("n", 8),
-            params.pop("saddle_node_probability", 0.3),
-        )
-        extra = {}
-    else:
+    """Build a named example from keyword `params` the generator takes;
+    the dict carries generator-specific extras."""
+    make = _EXAMPLES.get(name)
+    if make is None:
         raise BadParams(f"unknown example: {name!r}")
-    if params:
-        raise BadParams(f"unexpected parameters for {name}: {sorted(params)}")
-    return graph, extra
+    unexpected = set(params) - set(inspect.signature(make).parameters)
+    if unexpected:
+        raise BadParams(f"unexpected parameters for {name}: "
+                        f"{sorted(unexpected)}")
+    result = make(**params)
+    if name == "camacho":
+        graph, constraint = result
+        return graph, {"constraint_polynomial": list(constraint)}
+    return result, {}

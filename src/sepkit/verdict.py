@@ -39,6 +39,7 @@ from .dualgraph import (
     SN_WEAK_ON_CURVE,
     DualGraph,
     SmoothSingularity,
+    _pieces,
     has_errors,
     induced_subcurve,
     validate_indices,
@@ -365,34 +366,17 @@ def toma_prune(g: DualGraph) -> tuple[str, ...]:
     if g.cycle_rank:
         raise NotATree("pruning is defined for tree dual graphs only")
 
-    parent: dict[str, str] = {c.id: c.id for c in g.components}
-
-    def find(x: str) -> str:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for crossing in g.crossings:
-        if crossing.kind != SADDLE_NODE:
-            parent[find(crossing.tail)] = find(crossing.head)
-
-    in_degree = {find(c.id): 0 for c in g.components}
+    ids = [c.id for c in g.components]
+    piece = _pieces(ids, [c for c in g.crossings if c.kind != SADDLE_NODE])
+    in_degree = dict.fromkeys(piece.values(), 0)
     for crossing in g.crossings:
         if crossing.kind == SADDLE_NODE:
-            in_degree[find(crossing.weak)] += 1
-
-    winner = None
-    for comp in g.components:
-        if in_degree[find(comp.id)] == 0:
-            winner = find(comp.id)
-            break
+            in_degree[piece[crossing.weak]] += 1
+    winner = next((piece[cid] for cid in ids if in_degree[piece[cid]] == 0), None)
     if winner is None:  # impossible by the counting argument above
         raise RuntimeError("internal error: every forest component has an "
                            "incoming weak-side arrow")
-    return tuple(c.id for c in g.components if find(c.id) == winner)
+    return tuple(cid for cid in ids if piece[cid] == winner)
 
 
 # ---------------------------------------------------------------------------

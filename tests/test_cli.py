@@ -133,6 +133,40 @@ class TestExample:
         assert rc == 2
         assert "SEPKIT_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, flags, unexpected", [
+        ("camacho", ["--seed", "5", "--n", "9"], "['n', 'seed']"),
+        ("camacho", ["--t", "3"], "['t']"),
+        ("torsion4", ["--saddle-node-probability", "0.5"],
+         "['saddle_node_probability']"),
+        ("p2_cycle", ["--self-intersections=-2,-2,-2"], "['self_intersections']"),
+    ])
+    def test_flags_a_generator_does_not_take(self, tmp_path, capsys, name,
+                                             flags, unexpected):
+        out = tmp_path / "x.json"
+        assert run_cli(["example", name, "--output", str(out), *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unexpected parameters for {name}: {unexpected}\n"
+        )
+        assert not out.exists()
+
+    def test_seed_env_applies_to_random_tree_only(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setenv("SEPKIT_SEED", "soon")
+        out = tmp_path / "c.json"
+        assert run_cli(["example", "camacho", "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_text(encoding="utf-8") == (
+            serialize_graph(make_camacho_cycle()[0]) + "\n"
+        )
+
+    def test_random_tree_defaults(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert run_cli(["example", "random_tree", "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_text(encoding="utf-8") == (
+            serialize_graph(make_random_tree(0, 8, 0.3)) + "\n"
+        )
+
     def test_unknown_example_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["example", "bogus"])
@@ -202,6 +236,26 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("gorenstein", 5), ("gorenstein", True), ("gorenstein", "ka"),
+        ("gorenstein", ["k", "a"]),
+        ("smooth_singularities", None), ("smooth_singularities", 5),
+        ("smooth_singularities", True), ("smooth_singularities", {}),
+    ])
+    def test_wrong_shape_is_one_error_line(self, tmp_path, capsys, key, value):
+        obj = json.loads(serialize_graph(make_camacho_cycle()[0]))
+        if key == "gorenstein":
+            obj["gorenstein"] = value
+            message = "error: gorenstein must be an object\n"
+        else:
+            obj["components"][0]["smooth_singularities"] = value
+            message = ("error: components[0].smooth_singularities must be "
+                       "an array\n")
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert run_cli(["validate", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == message
 
     def test_missing_file(self, tmp_path, capsys):
         rc = run_cli(["validate", "--input", str(tmp_path / "absent.json")])

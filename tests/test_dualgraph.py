@@ -1,8 +1,11 @@
+import copy
 import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepkit.dualgraph import (
     CUT_PREFIX,
@@ -26,6 +29,7 @@ from sepkit.errors import (
     EmptySelection,
     SchemaError,
     SelfLoop,
+    SepkitError,
     UnknownId,
 )
 from sepkit.exactfield import FieldElement
@@ -144,6 +148,21 @@ class TestParsing:
         obj["crossings"].pop()
         with pytest.raises(Disconnected):
             graph_from_obj(obj)
+
+    def test_connectivity_messages(self):
+        obj = chain_obj()
+        obj["components"].insert(1, comp("E0", -2))
+        obj["components"].append(comp("E4", -2))
+        with pytest.raises(Disconnected) as exc:
+            graph_from_obj(obj)
+        assert str(exc.value) == (
+            "dual graph is not connected; unreachable from 'E1': ['E0', 'E4']"
+        )
+        g = graph_from_obj(chain_obj())
+        with pytest.raises(UnknownId) as exc:
+            dataclasses.replace(g, crossings=(
+                g.crossings[0], dataclasses.replace(g.crossings[1], tail="E7")))
+        assert str(exc.value) == "crossing endpoint 'E7' is not a component"
 
     def test_dropping_a_bridge_crossing_is_rejected(self):
         g = graph_from_obj(chain_obj())
@@ -267,6 +286,72 @@ class TestParsing:
         assert obj["components"][0]["genus"] == 0
         assert obj["components"][0]["smooth_singularities"] == []
         assert json.loads(serialize_graph(g)) == obj
+
+
+# A document that uses every schema position once: optional keys, both
+# crossing kinds, a singularity and Gorenstein data.
+FULL_DOCUMENT = {
+    "field": Q_FIELD,
+    "components": [
+        {"id": "E1", "self_intersection": -2, "genus": 0,
+         "smooth_singularities": [
+             {"id": "s", "kind": NONDEGENERATE, "cs": ["-1"], "separatrix": True},
+         ]},
+        comp("E2", -2),
+        comp("E3", -2),
+    ],
+    "crossings": [nondeg("E1", "E2", "-1"), sn("E2", "E3", weak="E3", cs_weak="-1")],
+    "gorenstein": {"k": 2, "a": {"E1": 1, "E2": 1, "E3": 1}},
+    "closed_world": False,
+}
+
+
+def schema_positions(value, path=()):
+    """Paths to every value in a decoded JSON document, the root first."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield from schema_positions(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+class TestSchemaFuzz:
+    def test_full_document_parses(self):
+        g = graph_from_obj(FULL_DOCUMENT)
+        assert g.gorenstein.k == 2
+        assert len(list(schema_positions(FULL_DOCUMENT))) > 40
+
+    @pytest.mark.parametrize(
+        "path", list(schema_positions(FULL_DOCUMENT)),
+        ids=lambda path: "/".join(map(str, path)) or "root",
+    )
+    @settings(max_examples=20, deadline=None)
+    @given(value=JSON_VALUES)
+    def test_any_value_at_any_position(self, path, value):
+        obj = copy.deepcopy(FULL_DOCUMENT)
+        if not path:
+            obj = value
+        else:
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        try:
+            graph_from_obj(obj)
+        except SepkitError:
+            pass
 
 
 class TestValidation:

@@ -268,6 +268,14 @@ class TestResidualDivisor:
             make_p2_cycle(Fraction(7, 3)),
             make_quadratic_chain(2, length=5),
             make_random_tree(11, n=9, saddle_node_probability=0.0),
+            # Spanning from A, the search reaches B across B-C from its head
+            # side, so residues propagate head to tail as well.
+            DualGraph(
+                QQ,
+                tuple(Component(cid, -2) for cid in "ABC"),
+                (Crossing("A", "C", NONDEGENERATE, cs_tail=QQ.from_rational(-2)),
+                 Crossing("B", "C", NONDEGENERATE, cs_tail=QQ.from_rational(-3))),
+            ),
         ]
         for g in fixtures:
             R = residual_divisor(g)
