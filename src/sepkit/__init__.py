@@ -1,125 +1,18 @@
-"""Exact separatrix analysis on decorated resolution dual graphs."""
+"""Exact separatrix analysis on decorated resolution dual graphs.
 
-from .dualgraph import (
-    NONDEGENERATE,
-    SADDLE_NODE,
-    SN_STRONG_ON_CURVE,
-    SN_WEAK_ON_CURVE,
-    Component,
-    Crossing,
-    DualGraph,
-    Finding,
-    GorensteinData,
-    SmoothSingularity,
-    graph_from_obj,
-    graph_to_obj,
-    has_errors,
-    induced_subcurve,
-    parse_graph,
-    serialize_graph,
-    validate_indices,
-)
-from .errors import (
-    BadParams,
-    DisconnectedSelection,
-    Disconnected,
-    DivisionByZero,
-    EmptySelection,
-    FieldMismatch,
-    GorensteinInconsistent,
-    HypothesisUnmet,
-    InvalidNumberField,
-    NontrivialRepresentation,
-    NotATree,
-    SaddleNodePresent,
-    SchemaError,
-    SelfLoop,
-    SepkitError,
-    UnknownId,
-    ValidationFailed,
-    ZeroElement,
-)
-from .exactfield import (
-    FieldElement,
-    NumberField,
-    parse_rational,
-    rational_span_dimension,
-)
-from .fixtures import (
-    generate_example,
-    make_camacho_cycle,
-    make_p2_cycle,
-    make_quadratic_chain,
-    make_random_graph,
-    make_random_tree,
-    make_torsion4,
-)
-from .holonomy import (
-    HEAD_SIDE,
-    INDETERMINATE,
-    INFINITE,
-    TAIL_SIDE,
-    TORSION,
-    TRIVIAL,
-    CycleBasis,
-    RepresentationClass,
-    ResidualDivisor,
-    cycle_basis,
-    representation_class,
-    residual_divisor,
-)
-from .intersection import (
-    Definiteness,
-    IntersectionMatrix,
-    definiteness,
-    divisor_pairing,
-    intersection_matrix,
-)
-from .report import analyze, render_certificate_text, render_report_text
-from .verdict import (
-    CERTIFIED_ABSENT,
-    INCONSISTENT_INPUT,
-    NOT_GUARANTEED,
-    SEPARATRIX_EXISTS,
-    Certificate,
-    GorensteinReduction,
-    Hypothesis,
-    SeparatrixBound,
-    certificate_for,
-    gorenstein_reduce,
-    run_check,
-    run_subcurve_check,
-    separatrix_bound,
-    subcurve_criterion,
-    toma_prune,
-    verdict,
-)
+Each module declares the public names it defines in its own `__all__`;
+the package re-exports those lists, in module order, as its `__all__`.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "NONDEGENERATE", "SADDLE_NODE", "SN_STRONG_ON_CURVE", "SN_WEAK_ON_CURVE",
-    "Component", "Crossing", "DualGraph", "Finding", "GorensteinData",
-    "SmoothSingularity", "graph_from_obj", "graph_to_obj", "has_errors",
-    "induced_subcurve", "parse_graph", "serialize_graph", "validate_indices",
-    "BadParams", "Disconnected", "DisconnectedSelection", "DivisionByZero",
-    "EmptySelection", "FieldMismatch", "GorensteinInconsistent",
-    "HypothesisUnmet", "InvalidNumberField", "NontrivialRepresentation",
-    "NotATree", "SaddleNodePresent", "SchemaError", "SelfLoop", "SepkitError",
-    "UnknownId", "ValidationFailed", "ZeroElement",
-    "FieldElement", "NumberField", "parse_rational", "rational_span_dimension",
-    "generate_example", "make_camacho_cycle", "make_p2_cycle",
-    "make_quadratic_chain", "make_random_graph", "make_random_tree",
-    "make_torsion4",
-    "HEAD_SIDE", "TAIL_SIDE", "TRIVIAL", "TORSION", "INFINITE", "INDETERMINATE",
-    "CycleBasis", "RepresentationClass", "ResidualDivisor", "cycle_basis",
-    "representation_class", "residual_divisor",
-    "Definiteness", "IntersectionMatrix", "definiteness", "divisor_pairing",
-    "intersection_matrix",
-    "analyze", "render_certificate_text", "render_report_text",
-    "CERTIFIED_ABSENT", "INCONSISTENT_INPUT", "NOT_GUARANTEED",
-    "SEPARATRIX_EXISTS", "Certificate", "GorensteinReduction", "Hypothesis",
-    "SeparatrixBound", "certificate_for", "gorenstein_reduce", "run_check",
-    "run_subcurve_check", "separatrix_bound", "subcurve_criterion",
-    "toma_prune", "verdict",
-]
+__all__: list[str] = []
+# verdict goes last: its function, not the submodule, is `sepkit.verdict`.
+for _name in ("dualgraph", "errors", "exactfield", "fixtures", "holonomy",
+              "intersection", "report", "verdict"):
+    _module = import_module(f".{_name}", __name__)
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
+    __all__ += _module.__all__
+del _name, _module

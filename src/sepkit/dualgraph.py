@@ -32,6 +32,13 @@ from .errors import (
 )
 from .exactfield import FieldElement, NumberField, format_rational
 
+__all__ = [
+    "NONDEGENERATE", "SADDLE_NODE", "SN_STRONG_ON_CURVE", "SN_WEAK_ON_CURVE",
+    "Component", "Crossing", "DualGraph", "Finding", "GorensteinData",
+    "SmoothSingularity", "graph_from_obj", "graph_to_obj", "has_errors",
+    "induced_subcurve", "parse_graph", "serialize_graph", "validate_indices",
+]
+
 NONDEGENERATE = "nondegenerate"
 SADDLE_NODE = "saddle_node"
 SN_STRONG_ON_CURVE = "saddle_node_strong"
@@ -462,8 +469,8 @@ def graph_to_obj(g: DualGraph) -> dict:
     return obj
 
 
-def serialize_graph(g: DualGraph, indent: int | None = 2) -> str:
-    return json.dumps(graph_to_obj(g), indent=indent)
+def serialize_graph(g: DualGraph) -> str:
+    return json.dumps(graph_to_obj(g), indent=2)
 
 
 # ---------------------------------------------------------------------------

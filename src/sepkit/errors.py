@@ -6,6 +6,14 @@ Every error raised by the public API derives from SepkitError, so callers
 
 from __future__ import annotations
 
+__all__ = [
+    "BadParams", "Disconnected", "DisconnectedSelection", "DivisionByZero",
+    "EmptySelection", "FieldMismatch", "GorensteinInconsistent",
+    "HypothesisUnmet", "InvalidNumberField", "NontrivialRepresentation",
+    "NotATree", "SaddleNodePresent", "SchemaError", "SelfLoop", "SepkitError",
+    "UnknownId", "ValidationFailed", "ZeroElement",
+]
+
 
 class SepkitError(Exception):
     """Base class for all toolkit errors."""

@@ -44,8 +44,7 @@ from .errors import (
     ZeroElement,
 )
 
-# Rationals are plain stdlib Fractions: always reduced, denominator > 0.
-Rational = Fraction
+__all__ = ["FieldElement", "NumberField", "parse_rational", "rational_span_dimension"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -289,9 +288,12 @@ class NumberField:
         if not isinstance(raw, list) or not raw:
             raise InvalidNumberField("min_poly must be a non-empty array")
         coeffs = tuple(parse_rational(v) for v in raw)
-        if "degree" in obj and obj["degree"] != len(coeffs):
+        degree = obj.get("degree", len(coeffs))
+        if type(degree) is not int:
+            raise InvalidNumberField(f"degree must be an integer, got {degree!r}")
+        if degree != len(coeffs):
             raise InvalidNumberField(
-                f"declared degree {obj['degree']} != len(min_poly) = {len(coeffs)}"
+                f"declared degree {degree} != len(min_poly) = {len(coeffs)}"
             )
         return cls(coeffs)
 

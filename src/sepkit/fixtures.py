@@ -16,6 +16,7 @@ import inspect
 import random
 from fractions import Fraction
 from math import gcd, isqrt
+from numbers import Real
 
 from .dualgraph import (
     NONDEGENERATE,
@@ -28,6 +29,12 @@ from .dualgraph import (
 )
 from .errors import BadParams
 from .exactfield import NumberField
+
+__all__ = [
+    "generate_example", "make_camacho_cycle", "make_p2_cycle",
+    "make_quadratic_chain", "make_random_graph", "make_random_tree",
+    "make_torsion4",
+]
 
 _RATIONALS = NumberField((Fraction(0),))  # Q itself, as Q[x]/(x)
 
@@ -204,10 +211,15 @@ def make_torsion4() -> DualGraph:
 # Random instances
 
 
+def _check_int(value, minimum: int, message: str):
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise BadParams(message)
+
+
 def _check_tree_params(n, probability):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise BadParams("n must be a positive integer")
-    if not 0 <= probability <= 1:
+    _check_int(n, 1, "n must be a positive integer")
+    if (not isinstance(probability, Real) or isinstance(probability, bool)
+            or not 0 <= probability <= 1):
         raise BadParams("saddle_node_probability must lie in [0, 1]")
 
 
@@ -259,8 +271,7 @@ def make_random_graph(
     every fundamental cycle has computable holonomy.
     """
     _check_tree_params(n, saddle_node_probability)
-    if not isinstance(extra_crossings, int) or extra_crossings < 0:
-        raise BadParams("extra_crossings must be a non-negative integer")
+    _check_int(extra_crossings, 0, "extra_crossings must be a non-negative integer")
     if extra_crossings and n < 2:
         raise BadParams("cycles need at least two components")
     rng = random.Random(seed)
@@ -283,8 +294,7 @@ def make_quadratic_chain(seed, length: int = 3) -> DualGraph:
     Trees have trivial holonomy, but the residues spread over the whole
     degree-2 field, which makes the separatrix count bound exceed 1.
     """
-    if not isinstance(length, int) or isinstance(length, bool) or length < 1:
-        raise BadParams("length must be a positive integer")
+    _check_int(length, 1, "length must be a positive integer")
     rng = random.Random(seed)
     field = NumberField((Fraction(-2), Fraction(0)))  # x^2 - 2
     alpha = field.alpha()

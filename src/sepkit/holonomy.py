@@ -9,9 +9,8 @@ the representation as trivial, torsion, infinite, or indeterminate when
 a saddle-node sits on a cycle and its weight is undefined.  A DualGraph
 is connected by construction, so the spanning tree reaches every component.
 
-The dual convention (minus the tail-side index, -cs_tail) is exposed as
-well; it yields exactly the inverse holonomy on every cycle, so the
-classification never depends on the choice.
+Weighing each crossing by minus its tail-side index instead inverts every
+cycle holonomy, so triviality and torsion order never depend on the side.
 """
 
 from __future__ import annotations
@@ -24,8 +23,11 @@ from .dualgraph import NONDEGENERATE, DualGraph
 from .errors import NontrivialRepresentation, SaddleNodePresent
 from .exactfield import FieldElement, is_root_of_unity
 
-HEAD_SIDE = "head_side"
-TAIL_SIDE = "tail_side"
+__all__ = [
+    "INDETERMINATE", "INFINITE", "TORSION", "TRIVIAL", "CycleBasis",
+    "RepresentationClass", "ResidualDivisor", "cycle_basis",
+    "representation_class", "residual_divisor",
+]
 
 TRIVIAL = "trivial"
 TORSION = "torsion"
@@ -117,20 +119,12 @@ def cycle_basis(g: DualGraph) -> CycleBasis:
     return CycleBasis(root, tuple(tree), tuple(cycles))
 
 
-def edge_weight(
-    g: DualGraph, step: CycleStep, convention: str = HEAD_SIDE
-) -> FieldElement | None:
+def edge_weight(g: DualGraph, step: CycleStep) -> FieldElement | None:
     """Multiplicative weight of one traversal, None across a saddle-node."""
     crossing = g.crossings[step.crossing]
     if crossing.kind != NONDEGENERATE:
         return None
-    if convention == HEAD_SIDE:
-        forward, backward = crossing.cs_head, crossing.cs_tail
-    elif convention == TAIL_SIDE:
-        forward, backward = crossing.cs_tail, crossing.cs_head
-    else:
-        raise ValueError(f"unknown convention: {convention!r}")
-    return -(forward if step.forward else backward)
+    return -(crossing.cs_head if step.forward else crossing.cs_tail)
 
 
 @dataclass(frozen=True)
@@ -165,9 +159,7 @@ class RepresentationClass:
         }
 
 
-def representation_class(
-    g: DualGraph, convention: str = HEAD_SIDE
-) -> RepresentationClass:
+def representation_class(g: DualGraph) -> RepresentationClass:
     """Classify the representation from the fundamental cycle holonomies."""
     basis = cycle_basis(g)
     one = g.field.one()
@@ -176,7 +168,7 @@ def representation_class(
     for pos, cycle in enumerate(basis.cycles):
         h = one
         for step in cycle:
-            w = edge_weight(g, step, convention)
+            w = edge_weight(g, step)
             if w is None:
                 h = None
                 break

@@ -1,4 +1,4 @@
-"""Intersection matrix of a dual graph and exact pairings against it.
+"""Intersection matrix of a dual graph and exact pairings against the form.
 
 The matrix has self-intersections on the diagonal and, off the diagonal,
 the number of crossings between the two components (parallel crossings
@@ -21,6 +21,11 @@ from typing import Mapping
 from .dualgraph import DualGraph
 from .errors import UnknownId
 from .exactfield import FieldElement
+
+__all__ = [
+    "Definiteness", "IntersectionMatrix", "definiteness", "divisor_pairing",
+    "intersection_matrix",
+]
 
 # A divisor supported on the configuration: coefficients indexed by
 # component ids and/or separatrix germ ids.
@@ -155,35 +160,30 @@ def definiteness(matrix: IntersectionMatrix) -> Definiteness:
 def divisor_pairing(g: DualGraph, coefficients: Divisor) -> dict[str, FieldElement]:
     """Pair a divisor with every component of the configuration.
 
-    Component ids pair through the intersection matrix.  Separatrix germ
-    ids pair 1 with their host component and 0 with every other one.
+    E_j . D is a_j times the self-intersection of E_j plus, for each
+    crossing at E_j, the coefficient of its other endpoint, so parallel
+    crossings count with multiplicity.  Separatrix germ ids pair 1 with
+    their host component and 0 with every other one.
     """
-    return _pair_with(g, intersection_matrix(g), coefficients)
-
-
-def _pair_with(
-    g: DualGraph, matrix: IntersectionMatrix, coefficients: Divisor
-) -> dict[str, FieldElement]:
-    """divisor_pairing given the intersection matrix of g, already built."""
-    index = {cid: i for i, cid in enumerate(matrix.component_order)}
-    host_index: dict[str, int] = {}
-    for comp in g.components:
-        for sing in comp.smooth_singularities:
-            host_index[sing.id] = index[comp.id]
-
-    n = matrix.size
-    out = [g.field.zero() for _ in range(n)]
+    out = {comp.id: g.field.zero() for comp in g.components}
+    host = {sing.id: comp.id for comp in g.components
+            for sing in comp.smooth_singularities}
+    on_components: dict[str, FieldElement] = {}
     for key, coeff in coefficients.items():
         if not isinstance(coeff, FieldElement):
             coeff = g.field.from_rational(Fraction(coeff))
-        if key in index:
-            row = matrix.rows[index[key]]
-            for j in range(n):
-                if row[j]:
-                    out[j] = out[j] + coeff * row[j]
-        elif key in host_index:
-            j = host_index[key]
-            out[j] = out[j] + coeff
+        if key in out:
+            on_components[key] = coeff
+        elif key in host:
+            out[host[key]] += coeff
         else:
             raise UnknownId(f"divisor names unknown id: {key}")
-    return {cid: out[index[cid]] for cid in matrix.component_order}
+    for comp in g.components:
+        if comp.id in on_components:
+            out[comp.id] += on_components[comp.id] * comp.self_intersection
+    for crossing in g.crossings:
+        if crossing.tail in on_components:
+            out[crossing.head] += on_components[crossing.tail]
+        if crossing.head in on_components:
+            out[crossing.tail] += on_components[crossing.head]
+    return out

@@ -10,6 +10,8 @@ from .holonomy import TRIVIAL
 from .verdict import GraphAnalysis, certify
 
 
+__all__ = ["analyze", "render_certificate_text", "render_report_text"]
+
 def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 

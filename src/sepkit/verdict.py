@@ -59,7 +59,15 @@ from .holonomy import (
     _propagate_residues,
     representation_class,
 )
-from .intersection import _pair_with, definiteness, intersection_matrix
+from .intersection import definiteness, divisor_pairing, intersection_matrix
+
+__all__ = [
+    "CERTIFIED_ABSENT", "INCONSISTENT_INPUT", "NOT_GUARANTEED",
+    "SEPARATRIX_EXISTS", "Certificate", "GorensteinReduction", "Hypothesis",
+    "SeparatrixBound", "certificate_for", "gorenstein_reduce", "run_check",
+    "run_subcurve_check", "separatrix_bound", "subcurve_criterion",
+    "toma_prune", "verdict",
+]
 
 SEPARATRIX_EXISTS = "separatrix_exists"
 NOT_GUARANTEED = "not_guaranteed"
@@ -170,7 +178,7 @@ class GraphAnalysis:
         g = self.graph
         k = g.gorenstein.k
         coeffs = {cid: g.field.from_rational(a - k) for cid, a in g.gorenstein.a}
-        return _pair_with(g, self.matrix, coeffs)
+        return divisor_pairing(g, coeffs)
 
 
 def _require(a: GraphAnalysis, *names: str):
@@ -178,6 +186,12 @@ def _require(a: GraphAnalysis, *names: str):
         ok, evidence = CHECKS[name](a)
         if not ok:
             raise HypothesisUnmet(name, evidence)
+
+
+def _require_valid(g: DualGraph):
+    findings = validate_indices(g)
+    if has_errors(findings):
+        raise ValidationFailed(findings)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +524,10 @@ def subcurve_criterion(ambient: DualGraph, keep) -> Certificate:
     The kept components must form a connected subcurve whose internal
     crossings are nondegenerate, whose attachment points to the rest of
     the configuration all carry index 0, and whose induced representation
-    is trivial, inside an ambient exceptional configuration.
+    is trivial, inside an ambient exceptional configuration.  Like
+    verdict, it raises ValidationFailed unless the ambient graph validates.
     """
+    _require_valid(ambient)
     sub = induced_subcurve(ambient, keep)  # raises on a bad selection
     analyses = {SUBCURVE: GraphAnalysis(sub), AMBIENT: GraphAnalysis(ambient)}
 
@@ -540,9 +556,7 @@ def subcurve_criterion(ambient: DualGraph, keep) -> Certificate:
 
 def verdict(g: DualGraph) -> Certificate:
     """Run the full rule chain; the graph must pass validation first."""
-    findings = validate_indices(g)
-    if has_errors(findings):
-        raise ValidationFailed(findings)
+    _require_valid(g)
     return certificate_for(g)
 
 

@@ -2,8 +2,8 @@
 
 These deliberately use different algorithms than the package (plain
 fraction Gaussian elimination instead of fraction-free pivoting, brute
-force forest enumeration instead of union-find) so agreement is evidence,
-not tautology.
+force forest enumeration instead of union-find, tail-side crossing weights
+instead of head-side ones) so agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from sepkit.dualgraph import SADDLE_NODE, DualGraph
+from sepkit.holonomy import cycle_basis
 
 
 # ---------------------------------------------------------------------------
@@ -246,3 +247,36 @@ def prune_oracle(g: DualGraph) -> tuple[str, ...]:
     candidates = [p for p in pieces if not has_incoming(p)]
     best = min(candidates, key=lambda p: min(order.index(v) for v in p))
     return tuple(cid for cid in order if cid in best)
+
+
+# ---------------------------------------------------------------------------
+# The tail-side residue representation
+
+
+def tail_side_weight(g: DualGraph, step):
+    """Weight of one traversal on the tail side, None across a saddle-node.
+
+    Each crossing weighs minus its tail-side index going tail to head and
+    minus its head-side index going back: the reciprocal of the package's
+    head-side weight, so every cycle holonomy comes out inverted.
+    """
+    crossing = g.crossings[step.crossing]
+    if crossing.kind == SADDLE_NODE:
+        return None
+    return -(crossing.cs_tail if step.forward else crossing.cs_head)
+
+
+def tail_side_holonomies(g: DualGraph) -> list:
+    """Tail-side holonomy of every cycle of cycle_basis(g), in basis order;
+    None for a cycle through a saddle-node."""
+    out = []
+    for cycle in cycle_basis(g).cycles:
+        h = g.field.one()
+        for step in cycle:
+            w = tail_side_weight(g, step)
+            if w is None:
+                h = None
+                break
+            h = h * w
+        out.append(h)
+    return out

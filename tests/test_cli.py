@@ -29,6 +29,8 @@ from sepkit.verdict import (
     toma_prune,
 )
 
+from test_verdict import UNBALANCED_SADDLE_NODE
+
 QQ = NumberField((Fraction(0),))
 
 
@@ -300,6 +302,15 @@ class TestVerdictCommand:
         rc = run_cli(["verdict", "--input", path, "--keep", "E1,E2"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["conclusion"] == NOT_GUARANTEED
+
+    def test_keep_on_invalid_graph_reports_findings(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(UNBALANCED_SADDLE_NODE), encoding="utf-8")
+        rc = run_cli(["verdict", "--input", str(path), "--keep", "E1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["errors"] == 2
+        assert "error:" in captured.err
 
     def test_keep_unknown_component(self, tmp_path, capsys):
         rc = run_cli(["verdict", "--input", camacho_path(tmp_path),

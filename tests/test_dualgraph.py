@@ -391,6 +391,22 @@ class TestValidation:
         assert warning.component == "E2"
         assert "must add up to -1" in warning.message
 
+    def test_unknown_weak_smooth_index_degrades_to_warning(self):
+        obj = {
+            "field": Q_FIELD,
+            "components": [comp("E1", -2, [
+                {"id": "s", "kind": NONDEGENERATE, "cs": ["-1"]},
+                {"id": "w", "kind": SN_WEAK_ON_CURVE, "cs": None},
+            ])],
+            "crossings": [],
+        }
+        findings = validate_indices(graph_from_obj(obj))
+        assert not has_errors(findings)
+        warning = next(f for f in findings if f.code == "vertex-sum-unverified")
+        assert warning.component == "E1"
+        assert "1 unknown weak index(es)" in warning.message
+        assert "must add up to -1" in warning.message
+
     def test_closed_world_contradiction(self):
         obj = {
             "field": Q_FIELD,

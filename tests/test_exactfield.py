@@ -116,6 +116,11 @@ class TestNumberField:
         with pytest.raises(InvalidNumberField):
             NumberField.from_json({"min_poly": ["-2", "0"], "extra": 1})
 
+    @pytest.mark.parametrize("degree", [True, 1.0, "1", None, 2])
+    def test_degree_must_be_the_json_integer_length(self, degree):
+        with pytest.raises(InvalidNumberField):
+            NumberField.from_json({"min_poly": ["0"], "degree": degree})
+
     def test_parse_element_length_checked(self):
         with pytest.raises(BadFieldElement):
             SQRT2.parse_element(["1"])

@@ -161,6 +161,11 @@ class TestRandomTree:
         with pytest.raises(BadParams):
             make_random_tree(0, n=5, saddle_node_probability=-0.1)
 
+    @pytest.mark.parametrize("probability", ["x", None, True, float("nan")])
+    def test_non_numeric_probability_rejected(self, probability):
+        with pytest.raises(BadParams):
+            make_random_tree(0, 5, probability)
+
     def test_validates_across_seeds(self):
         for seed in range(40):
             assert_validates(make_random_tree(
@@ -184,6 +189,11 @@ class TestRandomGraph:
             make_random_graph(0, n=4, extra_crossings=-1)
         with pytest.raises(BadParams):
             make_random_graph(0, n=1, extra_crossings=1)
+
+    @pytest.mark.parametrize("extra", [True, 1.0, "1"])
+    def test_extra_crossings_must_be_an_integer(self, extra):
+        with pytest.raises(BadParams):
+            make_random_graph(0, 5, extra)
 
     def test_extra_crossings_are_nondegenerate(self):
         g = make_random_graph(7, n=5, extra_crossings=3,

@@ -20,7 +20,7 @@ from sepkit.errors import (
     NontrivialRepresentation,
     SaddleNodePresent,
 )
-from sepkit.exactfield import NumberField
+from sepkit.exactfield import NumberField, is_root_of_unity
 from sepkit.fixtures import (
     make_camacho_cycle,
     make_p2_cycle,
@@ -30,10 +30,8 @@ from sepkit.fixtures import (
     make_torsion4,
 )
 from sepkit.holonomy import (
-    HEAD_SIDE,
     INDETERMINATE,
     INFINITE,
-    TAIL_SIDE,
     TORSION,
     TRIVIAL,
     CycleStep,
@@ -43,6 +41,8 @@ from sepkit.holonomy import (
     residual_divisor,
 )
 from sepkit.intersection import divisor_pairing
+
+from oracles import tail_side_holonomies, tail_side_weight
 
 QQ = NumberField((Fraction(0),))
 
@@ -136,24 +136,20 @@ class TestCycleBasis:
 class TestEdgeWeight:
     def test_head_side_weight(self):
         g = triangle(-2, -1, -1)
-        w = edge_weight(g, CycleStep(0, True), HEAD_SIDE)
+        w = edge_weight(g, CycleStep(0, True))
         assert w.rational_value() == Fraction(1, 2)
-        back = edge_weight(g, CycleStep(0, False), HEAD_SIDE)
+        back = edge_weight(g, CycleStep(0, False))
         assert back.rational_value() == 2
 
     def test_tail_side_weight_is_reciprocal_convention(self):
         g = triangle(-2, -1, -1)
-        w = edge_weight(g, CycleStep(0, True), TAIL_SIDE)
+        w = tail_side_weight(g, CycleStep(0, True))
         assert w.rational_value() == 2
+        assert w * edge_weight(g, CycleStep(0, True)) == QQ.one()
 
     def test_saddle_node_has_no_weight(self):
         g = triangle(-1, -1, -1, kinds=(SADDLE_NODE,) * 3)
         assert edge_weight(g, CycleStep(0, True)) is None
-
-    def test_unknown_convention_rejected(self):
-        g = triangle(-1, -1, -1)
-        with pytest.raises(ValueError):
-            edge_weight(g, CycleStep(0, True), "sideways")
 
 
 class TestClassification:
@@ -184,7 +180,7 @@ class TestClassification:
     def test_p2_tail_side_deltas_frozen(self):
         g = make_p2_cycle(2)
         values = [
-            edge_weight(g, CycleStep(i, True), TAIL_SIDE).rational_value()
+            tail_side_weight(g, CycleStep(i, True)).rational_value()
             for i in range(3)
         ]
         assert values == [2, Fraction(-3, 2), -3]
@@ -228,25 +224,26 @@ class TestClassification:
         assert obj["offending_cycles"] == []
 
 
+def assert_tail_side_inverts(g):
+    """The head-side holonomies against the tail-side oracle: inverse per
+    cycle, with equal root-of-unity orders."""
+    head = representation_class(g).holonomies
+    tail = tail_side_holonomies(g)
+    assert len(head) == len(tail) >= 1
+    for a, b in zip(head, tail):
+        assert a * b == g.field.one()
+        assert is_root_of_unity(a) == is_root_of_unity(b)
+
+
 class TestConventionDuality:
     def test_exact_inverse_per_cycle(self):
         for seed in range(60):
-            g = make_random_graph(seed, n=2 + seed % 7,
-                                  extra_crossings=1 + seed % 3)
-            head = representation_class(g, HEAD_SIDE)
-            tail = representation_class(g, TAIL_SIDE)
-            assert head.kind == tail.kind
-            assert head.order == tail.order
-            for a, b in zip(head.holonomies, tail.holonomies):
-                assert a * b == g.field.one()
+            assert_tail_side_inverts(make_random_graph(
+                seed, n=2 + seed % 7, extra_crossings=1 + seed % 3))
 
     def test_duality_with_torsion_and_infinite_kinds(self):
         for g in (make_torsion4(), make_camacho_cycle()[0]):
-            head = representation_class(g, HEAD_SIDE)
-            tail = representation_class(g, TAIL_SIDE)
-            assert head.kind == tail.kind
-            assert head.order == tail.order
-            assert head.holonomies[0] * tail.holonomies[0] == g.field.one()
+            assert_tail_side_inverts(g)
 
 
 class TestResidualDivisor:

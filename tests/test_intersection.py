@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -248,6 +249,42 @@ class TestDivisorPairing:
         g = graph_with_matrix((-2, -2), [(0, 1)])
         with pytest.raises(UnknownId):
             divisor_pairing(g, {"nope": 1})
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_dense_matrix_product(self, seed):
+        rng = random.Random(seed)
+        if seed % 4 == 3:
+            g = make_quadratic_chain(seed, 2 + seed % 5)
+        else:
+            g = make_random_graph(seed, 2 + seed % 7, seed % 4)
+        # Repeat some crossings so that parallel crossings pair with multiplicity.
+        extra = tuple(rng.choice(g.crossings) for _ in range(rng.randint(1, 3)))
+        g = dataclasses.replace(g, crossings=g.crossings + extra)
+        alpha = g.field.alpha() if g.field.degree > 1 else g.field.one()
+        germs = [(comp.id, s.id) for comp in g.components
+                 for s in comp.smooth_singularities]
+        ids = [c.id for c in g.components] + [sid for _, sid in germs]
+        coefficients = {
+            key: g.field.from_rational(Fraction(rng.randint(-5, 5),
+                                                rng.randint(1, 3)))
+            + alpha * rng.randint(-2, 2)
+            for key in rng.sample(ids, rng.randint(1, len(ids)))
+        }
+
+        m = intersection_matrix(g)
+        expected = {}
+        for j, cid in enumerate(m.component_order):
+            value = g.field.zero()
+            for i, other in enumerate(m.component_order):
+                if other in coefficients:
+                    value = value + coefficients[other] * m.rows[i][j]
+            for host, sid in germs:
+                if host == cid and sid in coefficients:
+                    value = value + coefficients[sid]
+            expected[cid] = value
+        pairing = divisor_pairing(g, coefficients)
+        assert pairing == expected
+        assert list(pairing) == list(m.component_order)
 
     def test_kernel_free_for_negative_definite(self):
         # definite implies the homogeneous system has only the zero solution

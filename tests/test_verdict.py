@@ -13,6 +13,7 @@ from sepkit.dualgraph import (
     DualGraph,
     GorensteinData,
     SmoothSingularity,
+    graph_from_obj,
     has_errors,
     validate_indices,
 )
@@ -466,6 +467,15 @@ def strong_attachment_ambient():
     return DualGraph(QQ, comps, crossings)
 
 
+UNBALANCED_SADDLE_NODE = {
+    "field": {"min_poly": ["0"]},
+    "components": [{"id": "E1", "self_intersection": -2},
+                   {"id": "E2", "self_intersection": -2}],
+    "crossings": [{"tail": "E1", "head": "E2", "kind": "saddle_node",
+                   "weak": "E2", "cs_weak": ["0"]}],
+}
+
+
 class TestSubcurveCriterion:
     def test_strong_side_attachment_passes(self):
         g = strong_attachment_ambient()
@@ -522,6 +532,15 @@ class TestSubcurveCriterion:
                 ok, evidence = run_subcurve_check(g, keep, check)
                 assert ok is (h.status == "satisfied")
                 assert evidence == h.evidence
+
+    def test_invalid_ambient_graph_is_refused(self):
+        # Neither vertex sum balances, so no certificate may be issued.
+        g = graph_from_obj(UNBALANCED_SADDLE_NODE)
+        assert has_errors(validate_indices(g))
+        with pytest.raises(ValidationFailed) as info:
+            subcurve_criterion(g, ["E1"])
+        codes = [f.code for f in info.value.findings if f.severity == "error"]
+        assert codes == ["vertex-sum-mismatch"] * 2
 
     def test_unknown_subcurve_check(self):
         with pytest.raises(ValueError):
