@@ -30,7 +30,7 @@ from .errors import (
     SelfLoop,
     UnknownId,
 )
-from .exactfield import FieldElement, NumberField, format_rational
+from .exactfield import FieldElement, NumberField
 
 __all__ = [
     "NONDEGENERATE", "SADDLE_NODE", "SN_STRONG_ON_CURVE", "SN_WEAK_ON_CURVE",
@@ -541,11 +541,10 @@ def validate_indices(g: DualGraph) -> list[Finding]:
             ))
 
     def warn_non_reduced(value: FieldElement, label: str, component_id: str):
-        q = value.rational_value()
-        if q is not None and q > 0:
+        if value.nums[0] > 0 and not any(value.nums[1:]):
             findings.append(Finding(
                 "warning", "non-reduced-index",
-                f"{label} has index {format_rational(q)}, a positive "
+                f"{label} has index {value}, a positive "
                 "rational; the singularity is not reduced",
                 component_id,
             ))

@@ -1,9 +1,9 @@
 """Exact arithmetic in a declared number field Q(a) = Q[x]/(m(x)).
 
 Every index, residue, and holonomy in the toolkit lives in one number
-field fixed by the input file.  Elements are coordinate vectors over the
-power basis 1, a, ..., a^(d-1) with Fraction coefficients, so all
-computations are exact; nothing here ever touches a float.
+field fixed by the input file.  An element is its coordinate vector over
+the power basis 1, a, ..., a^(d-1), kept as integer numerators over one
+positive denominator in lowest terms; nothing here ever touches a float.
 
 The minimal polynomial is stored as its "monic tail": the coefficients
 c0..c_(d-1) of m(x) = x^d + c_(d-1) x^(d-1) + ... + c0.  The leading 1
@@ -11,21 +11,17 @@ is implicit.  Construction applies a partial irreducibility screen (no
 rational root when d > 1, squarefree always); a reducible m that slips
 past the screen surfaces later as a DivisionByZero on a zero divisor.
 
-The kernel is the standard power-basis arithmetic.  Each field reduces
-x^d, ..., x^(2d-2) modulo m once, into a table of integer rows over one
-common denominator.  A product clears the denominators of both factors,
-convolves the integer numerators, folds the coefficients of degree >= d
-back through the table, and builds d Fractions at the end.  The inverse
-of u solves M c = e0, where column j of M is the coordinate vector of
-u a^j: each column is kept as integer numerators over a known
-denominator, and the system is solved by Bareiss fraction-free
-elimination with an integer back substitution, so the d coordinates are
-the only Fractions it builds.  M is singular exactly
-when u is a zero divisor, which raises DivisionByZero.  Degree 1 uses
-the plain Fraction operations.
-
-One Bareiss forward elimination (`_bareiss`) serves both the inverse and
-the Q-rank of a span of elements (`fraction_free_rank`).
+The kernel is the standard power-basis arithmetic on the integer
+numerators (Cohen, GTM 138, section 4.2), and each result pays one gcd
+to reach lowest terms.  Each field reduces x^d, ..., x^(2d-2) modulo m
+once, into integer rows over one common denominator.  A product
+convolves the numerators of both factors and folds the coefficients of
+degree >= d back through that table.  The inverse of u solves M c = e0,
+where column j of M is the coordinate vector of u a^j, by Bareiss
+fraction-free elimination (`_bareiss`, which also gives the Q-rank of a
+span of elements); M is singular exactly when u is a zero divisor, which
+raises DivisionByZero.  Over Q (degree 1) an inverse swaps numerator and
+denominator.
 """
 
 from __future__ import annotations
@@ -46,49 +42,51 @@ from .errors import (
 
 __all__ = ["FieldElement", "NumberField", "parse_rational", "rational_span_dimension"]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
+_CHUNK = 10 ** 600  # chunks of <= 600 digits pass 640, the least int-string limit
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+
+def _read_rational(value) -> tuple[int, int]:
+    """Numerator and positive denominator, not necessarily in lowest terms,
+    of "p/q" or "p" (surrounding whitespace allowed) or a JSON integer."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
+    match = isinstance(value, str) and _RATIONAL_RE.match(value.strip())
+    if not match:
+        raise BadFieldElement(f"not a rational: {value!r}")
+    try:
+        return int(match[1]), int(match[2] or 1)
+    except ValueError:  # past the interpreter's int-string digit limit
+        raise BadFieldElement(
+            f"rational literal too long: {len(match[0])} characters"
+        ) from None
 
 
 def parse_rational(value) -> Fraction:
     """Parse "p/q" or "p" (or a JSON integer) into a Fraction."""
-    if isinstance(value, bool):
-        raise BadFieldElement(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        if _RATIONAL_RE.match(text):
-            try:
-                return Fraction(text)
-            except ValueError:  # past the interpreter's int-string digit limit
-                raise BadFieldElement(
-                    f"rational literal too long: {len(text)} characters"
-                ) from None
-    raise BadFieldElement(f"not a rational: {value!r}")
+    return Fraction(*_read_rational(value))
+
+
+def _decimal(n: int) -> str:
+    """str(n), built from chunks that no int-string digit limit refuses."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of n's decimal digits
+    high, low = divmod(abs(n), 10 ** k)
+    return "-" * (n < 0) + _decimal(high) + _decimal(low).zfill(k)
+
+
+def _ratio_text(num: int, den: int) -> str:
+    return _decimal(num) if den == 1 else f"{_decimal(num)}/{_decimal(den)}"
 
 
 def format_rational(q: Fraction) -> str:
     """Render a Fraction as "p/q", or "p" when the denominator is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _ratio_text(q.numerator, q.denominator)
 
 
 # ---------------------------------------------------------------------------
-# Coefficient vectors over Q: Fractions, lowest degree first.
-
-
-def _as_fraction(c) -> Fraction:
-    return c if type(c) is Fraction else Fraction(c)
-
-
-def _integral(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators over the least common denominator, and that one."""
-    den = lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+# Construction screen
 
 
 def _divisors(n: int) -> list[int]:
@@ -105,21 +103,21 @@ def _divisors(n: int) -> list[int]:
 
 def _has_rational_root(full: Sequence[Fraction]) -> bool:
     """Rational root test after clearing denominators."""
-    ints, _ = _integral(full)  # full: m with its leading 1, lowest degree first
-    if ints[0] == 0:
+    lead = lcm(*[c.denominator for c in full])  # full: m with its leading 1
+    const = full[0].numerator * (lead // full[0].denominator)
+    if const == 0:
         return True  # x = 0 is a root
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
+    for p in _divisors(const):
+        for q in _divisors(lead):
             if gcd(p, q) != 1:
                 continue
             for cand in (Fraction(p, q), Fraction(-p, q)):
-                acc = _ZERO
+                acc = 0
                 for c in reversed(full):
                     acc = acc * cand + c
                 if acc == 0:
                     return True
     return False
-
 
 # ---------------------------------------------------------------------------
 
@@ -180,15 +178,15 @@ def _solve_unit(cols: list[list[int]]) -> tuple[list[int], int]:
 class NumberField:
     """Q[x]/(m(x)) for a monic m given by its tail coefficients c0..c_(d-1).
 
-    Besides the declared tail it keeps the reduction table: row k - d holds
-    the integer numerators of x^k mod m over the common denominator
-    `_table_den`, for k = d..2d-2.
+    Besides the declared tail it keeps its zero and one and the reduction
+    table: row k - d holds the integer numerators of x^k mod m over the
+    common denominator `_table_den`, for k = d..2d-2.
     """
 
     min_poly: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coeffs = tuple(_as_fraction(c) for c in self.min_poly)
+        coeffs = tuple(map(Fraction, self.min_poly))
         object.__setattr__(self, "min_poly", coeffs)
         d = len(coeffs)
         if d < 1:
@@ -196,7 +194,7 @@ class NumberField:
         rows, row = [], [-c for c in coeffs]  # x^d = -(c0 + c1 x + ...)
         for _ in range(d - 1):  # x^(k+1) = x * x^k, folding x^d back
             rows.append(row)
-            row = [s - row[-1] * c for s, c in zip([_ZERO] + row[:-1], coeffs)]
+            row = [s - row[-1] * c for s, c in zip([0] + row[:-1], coeffs)]
         den = lcm(*[r.denominator for row in rows for r in row])
         object.__setattr__(self, "_table_den", den)
         object.__setattr__(self, "_table", tuple(
@@ -205,15 +203,17 @@ class NumberField:
         ))
         # m is squarefree iff gcd(m, m') = 1 iff m'(a), of degree d - 1, is
         # a unit, i.e. its multiplication matrix is nonsingular.
-        derivative = [i * c for i, c in enumerate(coeffs) if i] + [Fraction(d)]
+        derivative = [i * c for i, c in enumerate(coeffs) if i] + [d]
         try:
-            _solve_unit(self._columns(_integral(derivative)[0]))
+            _solve_unit(self._columns(self.element(derivative).nums))
         except DivisionByZero:
             raise InvalidNumberField("minimal polynomial is not squarefree") from None
-        if d > 1 and _has_rational_root(coeffs + (_ONE,)):
+        if d > 1 and _has_rational_root(coeffs + (Fraction(1),)):
             raise InvalidNumberField(
                 "minimal polynomial of degree > 1 has a rational root"
             )
+        object.__setattr__(self, "_zero", self.from_rational(0))
+        object.__setattr__(self, "_one", self.from_rational(1))
 
     def _columns(self, num: list[int]) -> list[list[int]]:
         """Integer columns of u, u a, ..., u a^(d-1) for u with numerators num.
@@ -221,7 +221,7 @@ class NumberField:
         Column j is over den(u) * _table_den^j: multiplying by a shifts up
         and folds a^d back through the first table row.
         """
-        cols = [num]
+        cols = [list(num)]
         for _ in range(self.degree - 1):
             prev = cols[-1]
             shifted = [0] + prev[:-1]
@@ -236,29 +236,34 @@ class NumberField:
     # -- element construction ------------------------------------------------
 
     def element(self, coeffs: Iterable) -> "FieldElement":
-        vec = tuple(_as_fraction(c) for c in coeffs)
-        if len(vec) != self.degree:
+        """The element with these rational (int or Fraction) coordinates."""
+        pairs = [(c.numerator, c.denominator) for c in coeffs]
+        if len(pairs) != self.degree:
             raise BadFieldElement(
-                f"expected {self.degree} coefficients, got {len(vec)}"
+                f"expected {self.degree} coefficients, got {len(pairs)}"
             )
-        return FieldElement(self, vec)
+        return self._over_lcm(pairs)
 
     def from_rational(self, q) -> "FieldElement":
-        return FieldElement(self, (_as_fraction(q),) + (_ZERO,) * (self.degree - 1))
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1),
+                            q.denominator)
+
+    def _over_lcm(self, pairs: list[tuple[int, int]]) -> "FieldElement":
+        """The element with coordinates n / d, for the (n, d) in pairs."""
+        den = lcm(*[d for _, d in pairs])
+        return _lowest(self, [n * (den // d) for n, d in pairs], den)
 
     def zero(self) -> "FieldElement":
-        return self.from_rational(0)
+        return self._zero
 
     def one(self) -> "FieldElement":
-        return self.from_rational(1)
+        return self._one
 
     def alpha(self) -> "FieldElement":
         """The class of x, i.e. the generator a.  For d = 1 this is -c0."""
         if self.degree == 1:
             return self.from_rational(-self.min_poly[0])
-        vec = [_ZERO] * self.degree
-        vec[1] = _ONE
-        return self.element(vec)
+        return FieldElement(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     # -- serialization -------------------------------------------------------
 
@@ -269,7 +274,7 @@ class NumberField:
             raise BadFieldElement(
                 f"field element needs {self.degree} entries, got {len(values)}"
             )
-        return self.element([parse_rational(v) for v in values])
+        return self._over_lcm([_read_rational(v) for v in values])
 
     def to_json(self) -> dict:
         return {
@@ -298,24 +303,44 @@ class NumberField:
         return cls(coeffs)
 
 
+def _lowest(field: NumberField, nums, den: int) -> "FieldElement":
+    """The element with coordinates nums[i] / den, by one gcd in lowest terms."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    return FieldElement(field, tuple(nums), den)
+
+
 @dataclass(frozen=True)
 class FieldElement:
-    """An element of a NumberField, as exactly `degree` Fraction coordinates."""
+    """An element of a NumberField: coordinates nums[i] / den over the power
+    basis, in lowest terms: den > 0 and gcd(den, *nums) == 1, so equal
+    elements have equal nums and den.  Build elements through the field.
+    """
 
     field: NumberField
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     # -- basic queries --------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions, lowest degree first."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def rational_value(self) -> Fraction | None:
         """The element as a Fraction if it lies in Q, else None."""
-        if any(c != 0 for c in self.coeffs[1:]):
+        if any(self.nums[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -334,22 +359,20 @@ class FieldElement:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return FieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, rhs.coeffs))
-        )
+        a_den, b_den = self.den, rhs.den
+        nums = [x * b_den + y * a_den for x, y in zip(self.nums, rhs.nums)]
+        return _lowest(self.field, nums, a_den * b_den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return FieldElement(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, rhs.coeffs))
-        )
+        return self + -rhs
 
     def __rsub__(self, other):
         rhs = self._coerce(other)
@@ -358,16 +381,12 @@ class FieldElement:
         return rhs - self
 
     def __mul__(self, other):
-        """Convolution of integer numerators, folded back by the field's table."""
+        """Convolution of the numerators, folded back by the field's table."""
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        field = self.field
-        d = field.degree
-        if d == 1:
-            return FieldElement(field, (self.coeffs[0] * rhs.coeffs[0],))
-        a, a_den = _integral(self.coeffs)
-        b, b_den = _integral(rhs.coeffs)
+        field, a, b = self.field, self.nums, rhs.nums
+        d = len(a)
         conv = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
@@ -378,8 +397,7 @@ class FieldElement:
         for c, row in zip(conv[d:], field._table):
             if c:
                 out = [o + c * r for o, r in zip(out, row)]
-        den = a_den * b_den * table_den
-        return FieldElement(field, tuple(Fraction(n, den) for n in out))
+        return _lowest(field, out, self.den * rhs.den * table_den)
 
     __rmul__ = __mul__
 
@@ -389,20 +407,17 @@ class FieldElement:
         Column j of M is the coordinate vector of u a^j, so sum c_j a^j is
         the inverse of u.  The columns are integer numerators, the j-th over
         den(u) * _table_den^j (`NumberField._columns`), and the system is
-        solved fraction free (`_solve_unit`).  Over Q (degree 1) it is the
-        plain reciprocal.
+        solved fraction free (`_solve_unit`).  Over Q (degree 1) it swaps
+        numerator and denominator.
         """
         if self.is_zero:
             raise DivisionByZero("division by zero")
-        field = self.field
+        field, nums, den = self.field, self.nums, self.den
         if field.degree == 1:
-            return FieldElement(field, (1 / self.coeffs[0],))
-        num, den = _integral(self.coeffs)
-        y, det = _solve_unit(field._columns(num))
-        return FieldElement(field, tuple(
-            Fraction(y_j * den * field._table_den ** j, det)
-            for j, y_j in enumerate(y)
-        ))
+            return _lowest(field, (den,), nums[0])
+        y, det = _solve_unit(field._columns(nums))
+        return _lowest(field, [y_j * den * field._table_den ** j
+                               for j, y_j in enumerate(y)], det)
 
     def __truediv__(self, other):
         rhs = self._coerce(other)
@@ -433,22 +448,25 @@ class FieldElement:
 
     # -- rendering -------------------------------------------------------------
 
+    def _ratios(self) -> list[tuple[int, int]]:
+        """Each coordinate as (numerator, denominator) in lowest terms."""
+        den = self.den
+        return [(n // g, den // g) for n in self.nums for g in [gcd(n, den)]]
+
     def to_json(self) -> list[str]:
-        return [format_rational(c) for c in self.coeffs]
+        return [_ratio_text(n, d) for n, d in self._ratios()]
 
     def __str__(self):
         parts = []
-        for power, c in enumerate(self.coeffs):
-            if c == 0:
+        for power, (n, d) in enumerate(self._ratios()):
+            if n == 0:
                 continue
             unit = "" if power == 0 else ("a" if power == 1 else f"a^{power}")
-            if unit and abs(c) == 1:
-                parts.append(("-" if c < 0 else "") + unit)
+            if unit and abs(n) == d == 1:
+                parts.append(("-" if n < 0 else "") + unit)
             else:
-                parts.append(format_rational(c) + ("*" + unit if unit else ""))
-        if not parts:
-            return "0"
-        text = parts[0]
+                parts.append(_ratio_text(n, d) + ("*" + unit if unit else ""))
+        text = parts[0] if parts else "0"
         for p in parts[1:]:
             text += " - " + p[1:] if p.startswith("-") else " + " + p
         return text
@@ -510,16 +528,11 @@ def fraction_free_rank(rows: list[list[int]]) -> int:
 def rational_span_dimension(elements: Sequence[FieldElement]) -> int:
     """Dimension over Q of the span of the given field elements.
 
-    Rows are the coordinate vectors; each is scaled integral first so the
-    elimination stays fraction-free.  The empty set has dimension 0.
+    Rows are the integer numerators, whose common denominator does not
+    change the rank, so the elimination is fraction-free.  The empty set
+    has dimension 0.
     """
     elems = list(elements)
-    if not elems:
-        return 0
-    field = elems[0].field
-    rows = []
-    for e in elems:
-        if e.field != field:
-            raise FieldMismatch("span requires elements of a single field")
-        rows.append(_integral(e.coeffs)[0])
-    return fraction_free_rank(rows)
+    if any(e.field != elems[0].field for e in elems):
+        raise FieldMismatch("span requires elements of a single field")
+    return fraction_free_rank([e.nums for e in elems])

@@ -391,6 +391,49 @@ class TestAnalyze:
         assert capsys.readouterr().out
 
 
+def past_digit_limit_path(tmp_path):
+    """Two components over Q joined by two crossings whose tail indices have
+    2501-digit denominators, so the index sum on E1 has a 5001-digit one."""
+    big = 10 ** 2500
+    crossings = tuple(
+        Crossing("E1", "E2", NONDEGENERATE, cs_tail=QQ.from_rational(Fraction(-1, den)))
+        for den in (big + 7, 3 * big + 1)
+    )
+    comps = (Component("E1", -1), Component("E2", -1))
+    return write_graph(tmp_path, DualGraph(QQ, comps, crossings))
+
+
+class TestValuesPastTheDigitLimit:
+    """A value computed from valid input may have more digits than the
+    interpreter converts between int and str by default (4300)."""
+
+    # -1/(10^2500 + 7) - 1/(3 * 10^2500 + 1) and -(10^2500 + 7) - (3 * 10^2500 + 1)
+    SUMS = {
+        "E1": "-4" + "0" * 2499 + "8/3" + "0" * 2498 + "22" + "0" * 2499 + "7",
+        "E2": "-4" + "0" * 2499 + "8",
+    }
+
+    @pytest.mark.parametrize("command", ["validate", "verdict", "analyze"])
+    def test_findings_carry_every_digit(self, tmp_path, capsys, command):
+        rc = run_cli([command, "--input", past_digit_limit_path(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        findings = json.loads(captured.out)["findings"]
+        assert {
+            f["component"]: f["message"]
+            for f in findings if f["code"] == "vertex-sum-mismatch"
+        } == {
+            cid: f"{cid}: indices sum to {total}, but the self-intersection is -1"
+            for cid, total in self.SUMS.items()
+        }
+
+    def test_text_format(self, tmp_path, capsys):
+        path = past_digit_limit_path(tmp_path)
+        assert run_cli(["validate", "--input", path, "--format", "text"]) == 1
+        assert f"indices sum to {self.SUMS['E1']}," in capsys.readouterr().out
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,39 @@ class TestParseRational:
     def test_format_round_trip(self):
         for q in (Fraction(0), Fraction(-7, 2), Fraction(11)):
             assert parse_rational(format_rational(q)) == q
+
+
+def int_from_digits(text: str) -> int:
+    """int(text) for a decimal string of any length, 1000 digits at a time."""
+    value = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+class TestFormatRational:
+    @given(st.integers(min_value=-10 ** 700, max_value=10 ** 700),
+           st.integers(min_value=1, max_value=10 ** 700))
+    @settings(max_examples=100)
+    def test_matches_str_below_the_limit(self, num, den):
+        q = Fraction(num, den)
+        expected = str(q.numerator)
+        if q.denominator != 1:
+            expected += f"/{q.denominator}"
+        assert format_rational(q) == expected
+
+    @pytest.mark.parametrize("digits", [
+        "1" + "0" * 4998 + "7",
+        "".join(str(i % 10) for i in range(1, 5001)),
+        "9" * 5000,
+    ], ids=["zero-runs", "counting", "nines"])
+    def test_five_thousand_digits(self, digits):
+        n = int_from_digits(digits)
+        assert format_rational(Fraction(n)) == digits
+        assert format_rational(Fraction(-n)) == "-" + digits
+        assert format_rational(Fraction(1, n)) == "1/" + digits
+        assert QQ.from_rational(Fraction(-1, n)).to_json() == ["-1/" + digits]
 
 
 class TestNumberField:
@@ -284,13 +318,104 @@ class TestReducibleModulus:
             assert u * u.inverse() == self.FIELD.one()
 
 
+def is_canonical(e) -> bool:
+    return (type(e.nums) is tuple and len(e.nums) == e.field.degree
+            and e.den > 0 and gcd(e.den, *e.nums) == 1)
+
+
+literals = st.one_of(
+    st.from_regex(r"\A\s?[+-]?[0-9]{1,5}(/[0-9]{1,3})?\s?\Z"),
+    st.text(max_size=10),
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.none(),
+    st.sampled_from([" +12/18 ", "-0/5", "007", "3/0", "1" * 5000,
+                     "1/" + "7" * 5000, "-" + "9" * 4400]),
+)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+class TestRepresentation:
+    """Integer numerators over one denominator, in lowest terms."""
+
+    check = settings(max_examples=30, deadline=None)
+
+    @check
+    @given(data=st.data())
+    def test_every_result_is_canonical(self, name, data):
+        field = KERNEL_FIELDS[name]
+        a, b = data.draw(elements(field)), data.draw(elements(field))
+        q = data.draw(rationals)
+        k = data.draw(st.integers(min_value=1, max_value=6))
+        unreduced = [f"{c.numerator * k}/{c.denominator * k}" for c in a.coeffs]
+        results = [a + b, a - b, -a, a * b, a * q, q - a, a ** 2,
+                   field.from_rational(q), field.parse_element(unreduced)]
+        if not b.is_zero:
+            results += [a / b, b.inverse(), 1 / b, b ** -3]
+        assert all(is_canonical(e) for e in results)
+        assert field.parse_element(unreduced) == a
+
+    @check
+    @given(data=st.data())
+    def test_coeffs_match_the_oracle(self, name, data):
+        field = KERNEL_FIELDS[name]
+        a, b = data.draw(elements(field)), data.draw(elements(field))
+        q = data.draw(rationals)
+        pairs = list(zip(a.coeffs, b.coeffs))
+        assert (a + b).coeffs == tuple(x + y for x, y in pairs)
+        assert (a - b).coeffs == tuple(x - y for x, y in pairs)
+        assert (-a).coeffs == tuple(-x for x in a.coeffs)
+        assert (a * b).coeffs == poly_mul_mod(a, b)
+        zeros = (Fraction(0),) * (field.degree - 1)
+        assert field.from_rational(q).coeffs == (q,) + zeros
+        if not b.is_zero:
+            assert b.inverse().coeffs == euclid_inverse(b)
+        for e in (a, a + b, a * b):
+            assert all(type(c) is Fraction for c in e.coeffs)
+
+    @check
+    @given(data=st.data())
+    def test_equality_is_equality_of_coeffs(self, name, data):
+        field = KERNEL_FIELDS[name]
+        a, b = data.draw(elements(field)), data.draw(elements(field))
+        assert (a == b) == (a.coeffs == b.coeffs)
+        for twin in (field.element(a.coeffs), (a + b) - b, a * field.one()):
+            assert twin == a and hash(twin) == hash(a)
+
+    def test_elements_are_immutable(self, name):
+        e = KERNEL_FIELDS[name].one()
+        for attr in ("field", "nums", "den", "coeffs", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(e, attr, 0)
+        with pytest.raises(AttributeError):
+            del e.nums
+        assert e == KERNEL_FIELDS[name].one()
+
+    @settings(max_examples=60, deadline=None)
+    @given(literals)
+    def test_parse_element_agrees_with_parse_rational(self, name, value):
+        field = KERNEL_FIELDS[name]
+        values = [value] + ["0"] * (field.degree - 1)
+        try:
+            expected = parse_rational(value)
+        except BadFieldElement as exc:
+            with pytest.raises(BadFieldElement) as caught:
+                field.parse_element(values)
+            assert str(caught.value) == str(exc)
+            return
+        e = field.parse_element(values)
+        assert e.coeffs[0] == expected and is_canonical(e)
+
+
 class TestElementConstruction:
     def test_fractions_are_kept_not_rebuilt(self):
         q = Fraction(-7, 3)
         e = SQRT2.element([q, 2])
-        assert e.coeffs[0] is q
+        assert e.coeffs[0] == q and type(e.coeffs[0]) is Fraction
         assert e.coeffs[1] == 2 and type(e.coeffs[1]) is Fraction
-        assert SQRT2.from_rational(q).coeffs[0] is q
+        c = SQRT2.from_rational(q).coeffs[0]
+        assert c == q and type(c) is Fraction
 
     def test_equal_fields_still_combine(self):
         twin = NumberField((Fraction(-2), Fraction(0)))
