@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .dualgraph import has_errors, parse_graph, serialize_graph, validate_indices
 from .errors import BadParams, SepkitError, ValidationFailed
+from .exactfield import _decimal
 from .fixtures import generate_example
 from .report import (analyze, render_certificate_text, render_finding_text,
                      render_report_text)
@@ -34,8 +35,24 @@ def _emit(text: str, path: str | None):
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _json_text(value, indent: str) -> str:
+    """json.dumps(value, indent=2) for str-keyed dicts, lists and scalars,
+    except that an int is written in full however many digits it has."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{inner}{json.dumps(key)}: {_json_text(item, inner)}"
+                 for key, item in value.items())
+        return "{" + ",".join(items) + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[" + ",".join(inner + _json_text(item, inner)
+                              for item in value) + indent + "]"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return _decimal(value)
+    return json.dumps(value)
+
+
 def _to_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return _json_text(obj, "\n") + "\n"
 
 
 def _emit_findings(findings, args):

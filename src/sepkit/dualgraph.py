@@ -615,22 +615,14 @@ def induced_subcurve(g: DualGraph, keep: Iterable[str]) -> DualGraph:
             internal.append(crossing)
         elif tail_in or head_in:
             side = crossing.tail if tail_in else crossing.head
-            if crossing.kind == NONDEGENERATE:
-                sing = SmoothSingularity(
-                    f"{CUT_PREFIX}{i}", NONDEGENERATE,
-                    crossing.cs_on(side, g.field), True,
-                )
-            elif side != crossing.weak:
-                # The dropped side was the weak separatrix; it still exists
-                # as a curve germ transverse to the kept component.
-                sing = SmoothSingularity(
-                    f"{CUT_PREFIX}{i}", SN_STRONG_ON_CURVE, g.field.zero(), True,
-                )
-            else:
-                sing = SmoothSingularity(
-                    f"{CUT_PREFIX}{i}", SN_WEAK_ON_CURVE, crossing.cs_weak, True,
-                )
-            extra[side].append(sing)
+            # A cut saddle-node whose weak side was dropped still leaves that
+            # separatrix as a curve germ transverse to the kept component.
+            kind = (NONDEGENERATE if crossing.kind == NONDEGENERATE
+                    else SN_WEAK_ON_CURVE if side == crossing.weak
+                    else SN_STRONG_ON_CURVE)
+            extra[side].append(SmoothSingularity(
+                f"{CUT_PREFIX}{i}", kind, crossing.cs_on(side, g.field), True,
+            ))
 
     components = tuple(
         replace(

@@ -21,7 +21,8 @@ where column j of M is the coordinate vector of u a^j, by Bareiss
 fraction-free elimination (`_bareiss`, which also gives the Q-rank of a
 span of elements); M is singular exactly when u is a zero divisor, which
 raises DivisionByZero.  Over Q (degree 1) an inverse swaps numerator and
-denominator.
+denominator.  The order of a root of unity is the first successive power
+that equals 1 (`is_root_of_unity`).
 """
 
 from __future__ import annotations
@@ -476,41 +477,22 @@ class FieldElement:
 # Roots of unity
 
 
-def _totient(n: int) -> int:
-    phi, m = 1, n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            phi *= (p - 1) * p ** (e - 1)
-        p += 1
-    if m > 1:
-        phi *= m - 1
-    return phi
-
-
-def unity_candidates(degree: int) -> tuple[int, ...]:
-    """All n with totient(n) <= degree, ascending.
-
-    A primitive n-th root of unity generates an extension of degree
-    totient(n), so only these orders can occur inside the field.  The
-    bound totient(n) >= sqrt(n/2) caps the search at n <= 2*degree^2.
-    """
-    limit = 2 * degree * degree + 1
-    return tuple(n for n in range(1, limit + 1) if _totient(n) <= degree)
-
-
 def is_root_of_unity(u: FieldElement) -> int | None:
-    """The least n >= 1 with u^n = 1, or None if u has infinite order."""
+    """The least n >= 1 with u^n = 1, or None if u has infinite order.
+
+    A primitive n-th root of unity generates a subfield of degree phi(n),
+    so the order of u is at most the largest n with phi(n) <= d, and
+    phi(n) >= sqrt(n/2) puts that below 2 d^2.  The successive powers u,
+    u^2, ..., u^(2 d^2) cost one product each; the first that equals 1
+    gives the order.
+    """
     if u.is_zero:
         raise ZeroElement("zero is not a root of unity")
-    one = u.field.one()
-    for n in unity_candidates(u.field.degree):
-        if u ** n == one:
+    one, power = u.field.one(), u
+    for n in range(1, 2 * u.field.degree ** 2 + 1):
+        if power == one:
             return n
+        power = power * u
     return None
 
 

@@ -160,7 +160,12 @@ class RepresentationClass:
 
 
 def representation_class(g: DualGraph) -> RepresentationClass:
-    """Classify the representation from the fundamental cycle holonomies."""
+    """Classify the representation from the fundamental cycle holonomies.
+
+    Indeterminate if a cycle crosses a saddle-node, infinite if some
+    holonomy has infinite order, else torsion of the lcm of the orders,
+    which is trivial when that lcm is 1.
+    """
     basis = cycle_basis(g)
     one = g.field.one()
     holonomies: list[FieldElement | None] = []
@@ -177,20 +182,15 @@ def representation_class(g: DualGraph) -> RepresentationClass:
         if h is None:
             offending.append(pos)
 
+    order = None
     if offending:
-        kind, order = INDETERMINATE, None
-    elif all(h == one for h in holonomies):
-        kind, order = TRIVIAL, None
+        kind = INDETERMINATE
     else:
-        orders = []
-        for h in holonomies:
-            n = is_root_of_unity(h)
-            if n is None:
-                orders = None
-                break
-            orders.append(n)
-        if orders is None:
-            kind, order = INFINITE, None
+        orders = [is_root_of_unity(h) for h in holonomies]
+        if None in orders:
+            kind = INFINITE
+        elif lcm(*orders) == 1:
+            kind = TRIVIAL
         else:
             kind, order = TORSION, lcm(*orders)
 

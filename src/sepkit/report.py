@@ -6,6 +6,7 @@ import hashlib
 import json
 
 from .dualgraph import DualGraph, has_errors, serialize_graph, validate_indices
+from .exactfield import _decimal
 from .holonomy import TRIVIAL
 from .verdict import GraphAnalysis, certify
 
@@ -80,8 +81,9 @@ def render_report_text(report: dict) -> str:
         lines.append("  [" + ", ".join(str(v) for v in row) + "]")
     defin = report["definiteness"]
     lines.append(
-        "negative definite: {negative_definite}, determinant: {determinant}, "
-        "invertible: {invertible}".format(**defin)
+        f"negative definite: {defin['negative_definite']}, "
+        f"determinant: {_decimal(defin['determinant'])}, "
+        f"invertible: {defin['invertible']}"
     )
 
     rep = report["representation"]

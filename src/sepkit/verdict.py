@@ -1,7 +1,7 @@
 """The decision engine: existence and non-existence certificates.
 
 Rules are tried in a fixed priority order and the certificate cites the
-first one whose hypotheses all hold:
+first one that reaches a conclusion:
 
   1. tree_resolution          the dual graph is a tree; a prunable
                               subcurve always carries a separatrix
@@ -14,7 +14,9 @@ first one whose hypotheses all hold:
   4. gorenstein_reduction     declared k-th power trivialization of the
                               normal sheaf; orthogonality of the induced
                               divisor is forced, so its failure means the
-                              input contradicts itself
+                              input contradicts itself.  Consistent data
+                              only reduces to rules 2 and 3, so this rule
+                              concludes inconsistent_input or nothing
   5. infinite_holonomy_closed_world
                               non-torsion holonomy over an exceptional
                               curve with the user's declaration that no
@@ -50,7 +52,7 @@ from .errors import (
     NotATree,
     ValidationFailed,
 )
-from .exactfield import FieldElement, rational_span_dimension
+from .exactfield import FieldElement, _decimal, rational_span_dimension
 from .holonomy import (
     INDETERMINATE,
     TORSION,
@@ -248,12 +250,13 @@ def check_no_saddle_node(a: GraphAnalysis):
 def check_matrix_negative_definite(a: GraphAnalysis):
     d = a.form
     return d.negative_definite, (
-        f"negative definite: {d.negative_definite}; determinant {d.determinant}"
+        f"negative definite: {d.negative_definite}; "
+        f"determinant {_decimal(d.determinant)}"
     )
 
 
 def check_matrix_invertible(a: GraphAnalysis):
-    return a.form.invertible, f"determinant {a.form.determinant}"
+    return a.form.invertible, f"determinant {_decimal(a.form.determinant)}"
 
 
 def check_smooth_singularity_declared(a: GraphAnalysis):
@@ -465,19 +468,14 @@ def gorenstein_reduce(g: DualGraph) -> GorensteinReduction:
         raise GorensteinInconsistent(
             f"the declared coefficients are impossible: {evidence}"
         )
-    ok, _ = check_gorenstein_holonomy_power_trivial(a)
-    return _forced_reduction(g, ok)
-
-
-def _forced_reduction(g: DualGraph, power_trivial: bool) -> GorensteinReduction:
-    """The reduction, once the divisor pairs to 0 over a negative definite matrix."""
     k = g.gorenstein.k
-    if any(a != k for _, a in g.gorenstein.a):
+    if any(value != k for _, value in g.gorenstein.a):
         # Orthogonality over a negative definite matrix already forces
         # a_i = k, so reaching this line means the pairing lied.
         raise RuntimeError("internal error: divisor orthogonal to a negative "
                            "definite lattice but not zero")
-    return GorensteinReduction(k, k, power_trivial)
+    ok, _ = check_gorenstein_holonomy_power_trivial(a)
+    return GorensteinReduction(k, k, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -651,9 +649,11 @@ def certify(a: GraphAnalysis) -> Certificate:
                             "sum((a_i - k) E_i) . E_j = 0 for every j",
                 "nonzero_pairings": pairings,
             })
-        if run(RULE_GORENSTEIN, "gorenstein_holonomy_power_trivial"):
-            reduction = _forced_reduction(g, True)
-            return done(SEPARATRIX_EXISTS, RULE_GORENSTEIN, reduction.to_json())
+        # Consistent data forces a_i = k.  For k >= 1, holonomy^k = 1 on
+        # every cycle makes the representation trivial or torsion, which
+        # rules 2 and 3 have decided already, so the check is only
+        # recorded and the chain goes on.
+        run(RULE_GORENSTEIN, "gorenstein_holonomy_power_trivial")
 
     # 5: certified non-existence needs the closed-world declaration.
     infinite = run(RULE_ABSENT, "representation_infinite")

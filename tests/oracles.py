@@ -98,6 +98,43 @@ def power_oracle(a, n: int) -> tuple[Fraction, ...]:
     return out
 
 
+def _totient(n: int) -> int:
+    phi, m = 1, n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            phi *= (p - 1) * p ** (e - 1)
+        p += 1
+    if m > 1:
+        phi *= m - 1
+    return phi
+
+
+def unity_candidates(degree: int) -> tuple[int, ...]:
+    """All n with totient(n) <= degree, ascending.
+
+    A primitive n-th root of unity generates an extension of degree
+    totient(n), so only these orders can occur inside the field.  The
+    bound totient(n) >= sqrt(n/2) caps the search at n <= 2*degree^2.
+    """
+    limit = 2 * degree * degree + 1
+    return tuple(n for n in range(1, limit + 1) if _totient(n) <= degree)
+
+
+def unity_order_oracle(a) -> int | None:
+    """The least n with a ** n = 1, testing only the candidate orders of
+    the field's degree by oracle powers; None when none of them works."""
+    one = a.field.one().coeffs
+    for n in unity_candidates(a.field.degree):
+        if power_oracle(a, n) == one:
+            return n
+    return None
+
+
 def fraction_rank(rows: list[list[Fraction]]) -> int:
     """Row rank by textbook Gaussian elimination over Q."""
     matrix = [[Fraction(v) for v in row] for row in rows]

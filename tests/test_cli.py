@@ -15,10 +15,18 @@ from sepkit.dualgraph import (
     Crossing,
     DualGraph,
     SmoothSingularity,
+    _vertex_sums,
+    parse_graph,
     serialize_graph,
 )
 from sepkit.exactfield import NumberField
-from sepkit.fixtures import make_camacho_cycle, make_quadratic_chain, make_random_tree
+from sepkit.fixtures import (
+    _assemble,
+    make_camacho_cycle,
+    make_quadratic_chain,
+    make_random_tree,
+)
+from sepkit.report import analyze
 from sepkit.verdict import (
     CERTIFIED_ABSENT,
     NOT_GUARANTEED,
@@ -403,6 +411,21 @@ def past_digit_limit_path(tmp_path):
     return write_graph(tmp_path, DualGraph(QQ, comps, crossings))
 
 
+def huge_determinant_path(tmp_path):
+    """A 3-cycle over Q whose self-intersections -(10^1500 + k), k = 1, 2, 3,
+    make a determinant of 4501 digits; pads balance the vertex sums."""
+    names = ("E1", "E2", "E3")
+    crossings = [
+        Crossing(tail, head, NONDEGENERATE, cs_tail=QQ.from_rational(cs))
+        for (tail, head), cs in zip((("E1", "E2"), ("E2", "E3"), ("E1", "E3")),
+                                    (-1, -1, -2))
+    ]
+    self_ints = [-(10 ** 1500 + k) for k in (1, 2, 3)]
+    g = _assemble(QQ, names, self_ints, crossings,
+                  _vertex_sums(QQ, names, crossings))
+    return write_graph(tmp_path, g)
+
+
 class TestValuesPastTheDigitLimit:
     """A value computed from valid input may have more digits than the
     interpreter converts between int and str by default (4300)."""
@@ -427,6 +450,40 @@ class TestValuesPastTheDigitLimit:
             cid: f"{cid}: indices sum to {total}, but the self-intersection is -1"
             for cid, total in self.SUMS.items()
         }
+
+    # e1 e2 e3 - e1 - e2 - e3 + 2 with e_k = -(10^1500 + k):
+    # -(10^4500 + 6 * 10^3000 + 8 * 10^1500 - 2)
+    DETERMINANT = "-1" + "0" * 1499 + "6" + "0" * 1499 + "7" + "9" * 1499 + "8"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("command", ["verdict", "analyze"])
+    def test_determinant_carries_every_digit(self, tmp_path, capsys, command, fmt):
+        path = huge_determinant_path(tmp_path)
+        rc = run_cli([command, "--input", path, "--format", fmt])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        evidence = f"negative definite: True; determinant {self.DETERMINANT}"
+        if fmt == "text":
+            assert f"matrix_negative_definite: {evidence}\n" in captured.out
+            if command == "analyze":
+                assert f"determinant: {self.DETERMINANT}," in captured.out
+            return
+        # parse_int keeps the digits: int() refuses more than 4300 of them
+        obj = json.loads(captured.out, parse_int=str)
+        certificate = obj["certificate"] if command == "analyze" else obj
+        assert evidence in [h["evidence"] for h in certificate["hypotheses"]]
+        if command == "analyze":
+            assert obj["definiteness"]["determinant"] == self.DETERMINANT
+
+    def test_validate_accepts_the_huge_determinant_cycle(self, tmp_path, capsys):
+        assert run_cli(["validate", "--input", huge_determinant_path(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["errors"] == 0
+
+    def test_library_report_keeps_the_determinant_an_int(self, tmp_path):
+        with open(huge_determinant_path(tmp_path), "rb") as f:
+            report = analyze(parse_graph(f.read()))
+        determinant = report["definiteness"]["determinant"]
+        assert type(determinant) is int and determinant.bit_length() == 14949
 
     def test_text_format(self, tmp_path, capsys):
         path = past_digit_limit_path(tmp_path)

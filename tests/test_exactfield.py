@@ -20,10 +20,16 @@ from sepkit.exactfield import (
     is_root_of_unity,
     parse_rational,
     rational_span_dimension,
-    unity_candidates,
 )
 
-from oracles import euclid_inverse, fraction_rank, poly_mul_mod, power_oracle
+from oracles import (
+    euclid_inverse,
+    fraction_rank,
+    poly_mul_mod,
+    power_oracle,
+    unity_candidates,
+    unity_order_oracle,
+)
 
 QQ = NumberField((Fraction(0),))
 GAUSS = NumberField((Fraction(1), Fraction(0)))  # x^2 + 1
@@ -424,7 +430,39 @@ class TestElementConstruction:
         assert (twin.alpha() - SQRT2.alpha()).is_zero
 
 
+# Fields with roots of unity besides +-1: x^2+1, x^2+x+1, x^4+1, x^4-x^2+1
+# and x^4+x^3+x^2+x+1 (a of order 4, 3, 8, 12 and 5).
+CYCLOTOMIC_FIELDS = [GAUSS, ZETA3] + [
+    NumberField(tuple(map(Fraction, tail)))
+    for tail in ((1, 0, 0, 0), (1, 0, -1, 0), (1, 1, 1, 1))
+]
+
+
+def nonzero_kernel_elements():
+    return st.sampled_from(sorted(KERNEL_FIELDS)).flatmap(
+        lambda name: elements(KERNEL_FIELDS[name])
+    ).filter(lambda e: not e.is_zero)
+
+
+def signed_alpha_powers():
+    return st.builds(
+        lambda field, k, sign: sign * field.alpha() ** k,
+        st.sampled_from(CYCLOTOMIC_FIELDS), st.integers(-30, 30),
+        st.sampled_from([1, -1]),
+    )
+
+
 class TestRootsOfUnity:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(nonzero_kernel_elements(), signed_alpha_powers()))
+    def test_order_matches_candidate_oracle(self, u):
+        assert is_root_of_unity(u) == unity_order_oracle(u)
+
+    def test_cyclotomic_generators(self):
+        orders = [is_root_of_unity(f.alpha()) for f in CYCLOTOMIC_FIELDS]
+        assert orders == [4, 3, 8, 12, 5]
+        assert is_root_of_unity(-CYCLOTOMIC_FIELDS[-1].alpha()) == 10
+
     def test_candidate_orders_degree_two(self):
         assert set(unity_candidates(2)) == {1, 2, 3, 4, 6}
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepkit.dualgraph import (
     NONDEGENERATE,
@@ -448,6 +450,35 @@ class TestGorensteinReduce:
     def test_torsion_rule_outranks_gorenstein(self):
         g = with_gorenstein(make_torsion4(), 4, (4, 4, 4))
         assert verdict(g).rule == RULE_TORSION
+
+    @pytest.mark.parametrize("closed, conclusion", [
+        (False, NOT_GUARANTEED), (True, CERTIFIED_ABSENT),
+    ])
+    def test_zero_power_certifies_nothing(self, closed, conclusion):
+        # h^0 = 1 for every holonomy, so k = 0 (a library-built value the
+        # parser refuses) must not turn the Camacho cycle into an existence.
+        g = dataclasses.replace(make_camacho_cycle()[0], closed_world=closed)
+        cert = verdict(with_gorenstein(g, 0, (0, 0, 0)))
+        assert (cert.conclusion, cert.rule) == (
+            conclusion, RULE_ABSENT if closed else RULE_NONE)
+        by_name = {h.name: h.status for h in cert.hypotheses}
+        key = "gorenstein_reduction.gorenstein_holonomy_power_trivial"
+        assert by_name[key] == "satisfied"
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(3, 12), st.integers(1, 4),
+           st.integers(1, 4))
+    def test_gorenstein_rule_only_reports_inconsistency(self, seed, n, extra, k):
+        graphs = [make_random_graph(seed, n, extra), make_torsion4(),
+                  make_camacho_cycle()[0], make_p2_cycle(2),
+                  make_random_tree(seed, n), make_quadratic_chain(seed)]
+        for g in graphs:
+            cert = verdict(with_gorenstein(g, k, (k,) * len(g.components)))
+            assert cert.rule != RULE_GORENSTEIN, (seed, k, cert.conclusion)
+        # data that fails orthogonality is the one conclusion left to it
+        bad = with_gorenstein(make_camacho_cycle()[0], k, (k + 1, k, k))
+        assert (verdict(bad).conclusion, verdict(bad).rule) == (
+            INCONSISTENT_INPUT, RULE_GORENSTEIN)
 
 
 def strong_attachment_ambient():
