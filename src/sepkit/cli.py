@@ -13,7 +13,8 @@ import os
 import sys
 from pathlib import Path
 
-from .dualgraph import has_errors, parse_graph, serialize_graph, validate_indices
+from .dualgraph import (has_errors, induced_subcurve, parse_graph,
+                        serialize_graph, validate_indices)
 from .errors import BadParams, SepkitError, ValidationFailed
 from .exactfield import _decimal
 from .fixtures import generate_example
@@ -92,8 +93,6 @@ def _cmd_prune(args) -> int:
     g = parse_graph(_read_input(args.input))
     keep = _split_keep(args.keep)
     if keep is not None:
-        from .dualgraph import induced_subcurve
-
         g = induced_subcurve(g, keep)
     kept = list(toma_prune(g))
     if args.format == "json":

@@ -11,7 +11,8 @@ self-crossings are not representable and must be blown up first.
 
 All index data lives in a single number field declared at the top of the
 input file.  Every DualGraph is connected, with at least one component:
-construction checks it once, and the code that reads a graph relies on it.
+construction builds its incidence once and checks that with the one
+breadth-first traversal, and the code that reads a graph relies on both.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import (
-    BadFieldElement,
     Disconnected,
     DisconnectedSelection,
     EmptySelection,
@@ -132,6 +132,12 @@ class GorensteinData:
 
 @dataclass(frozen=True)
 class DualGraph:
+    """A connected dual graph.  Construction also stores `index` (component
+    id -> input position) and `incidence` (position -> the (crossing index,
+    other end's position) pairs there, in crossing input order).  They are
+    not fields: equality, hashing and repr ignore them, and
+    `dataclasses.replace` rebuilds them."""
+
     field: NumberField
     components: tuple[Component, ...]
     crossings: tuple[Crossing, ...]
@@ -139,15 +145,28 @@ class DualGraph:
     closed_world: bool = False
 
     def __post_init__(self):
-        ids = [c.id for c in self.components]
-        if not ids:
+        if not self.components:
             raise SchemaError("a dual graph needs at least one component")
-        piece = _pieces(ids, self.crossings)
-        missing = [cid for cid in ids if piece[cid] != ids[0]]
-        if missing:
-            raise Disconnected(
-                f"dual graph is not connected; unreachable from {ids[0]!r}: {missing}"
-            )
+        index = {c.id: p for p, c in enumerate(self.components)}
+        incidence: list[list[tuple[int, int]]] = [[] for _ in self.components]
+        try:
+            for k, c in enumerate(self.crossings):
+                tail, head = index[c.tail], index[c.head]
+                incidence[tail].append((k, head))
+                incidence[head].append((k, tail))
+        except KeyError as exc:
+            raise UnknownId(
+                f"crossing endpoint {exc.args[0]!r} is not a component"
+            ) from None
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "incidence", tuple(map(tuple, incidence)))
+        visits = _breadth_first(self)
+        roots = [i for i, visit in enumerate(visits) if visit[1] is None]
+        if roots[1:]:  # position 0's tree is visits[:roots[1]]
+            missing = [self.components[p].id for p in sorted(
+                visit[0] for visit in visits[roots[1]:])]
+            raise Disconnected("dual graph is not connected; unreachable "
+                               f"from {self.components[0].id!r}: {missing}")
 
     @property
     def cycle_rank(self) -> int:
@@ -165,30 +184,29 @@ class DualGraph:
         return any(c.kind == SADDLE_NODE for c in self.crossings)
 
 
-def _pieces(ids: list[str], crossings: Iterable[Crossing]) -> dict[str, str]:
-    """The connected pieces when only `crossings` join the components `ids`:
-    each id maps to the first id, in `ids` order, of its piece."""
-    adjacency: dict[str, list[str]] = {cid: [] for cid in ids}
-    try:
-        for c in crossings:
-            adjacency[c.tail].append(c.head)
-            adjacency[c.head].append(c.tail)
-    except KeyError as exc:
-        raise UnknownId(
-            f"crossing endpoint {exc.args[0]!r} is not a component"
-        ) from None
-    piece: dict[str, str] = {}
-    for start in ids:
-        if start in piece:
+def _breadth_first(g: DualGraph, keep: Callable[[Crossing], bool] | None = None
+                   ) -> list[tuple[int, int | None, int | None]]:
+    """Breadth-first spanning forest over the crossings `keep` accepts (all
+    by default): a (position, crossing index, parent position) triple per
+    component in visiting order.  Each tree is rooted, as (root, None, None),
+    at the first position not yet reached; crossings go in input order."""
+    crossings, incidence = g.crossings, g.incidence
+    reached = [False] * len(incidence)
+    visits: list[tuple[int, int | None, int | None]] = []
+    cursor = 0  # visits[cursor:] is the queue
+    for root in range(len(incidence)):
+        if reached[root]:
             continue
-        piece[start] = start
-        stack = [start]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in piece:
-                    piece[w] = start
-                    stack.append(w)
-    return piece
+        reached[root] = True
+        visits.append((root, None, None))
+        while cursor < len(visits):
+            v = visits[cursor][0]
+            cursor += 1
+            for k, w in incidence[v]:
+                if not reached[w] and (keep is None or keep(crossings[k])):
+                    reached[w] = True
+                    visits.append((w, k, v))
+    return visits
 
 
 @dataclass(frozen=True)
@@ -601,9 +619,8 @@ def induced_subcurve(g: DualGraph, keep: Iterable[str]) -> DualGraph:
     keep_ids = list(dict.fromkeys(keep))
     if not keep_ids:
         raise EmptySelection("subcurve selection is empty")
-    known = {c.id for c in g.components}
     for cid in keep_ids:
-        if cid not in known:
+        if cid not in g.index:
             raise UnknownId(f"unknown component id: {cid}")
     kept = set(keep_ids)
 

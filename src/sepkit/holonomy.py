@@ -15,11 +15,10 @@ cycle holonomy, so triviality and torsion order never depend on the side.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import lcm
 
-from .dualgraph import NONDEGENERATE, DualGraph
+from .dualgraph import NONDEGENERATE, DualGraph, _breadth_first
 from .errors import NontrivialRepresentation, SaddleNodePresent
 from .exactfield import FieldElement, is_root_of_unity
 
@@ -66,57 +65,41 @@ def cycle_basis(g: DualGraph) -> CycleBasis:
     The tree is rooted at the first-listed component and built scanning
     crossings in input order, which makes the basis deterministic.
     """
-    ids = [c.id for c in g.components]
-    adjacency: dict[str, list[int]] = {cid: [] for cid in ids}
-    for idx, crossing in enumerate(g.crossings):
-        adjacency[crossing.tail].append(idx)
-        adjacency[crossing.head].append(idx)
-
-    root = ids[0]
-    parent: dict[str, tuple[int, str]] = {}
-    depth = {root: 0}
+    n = len(g.components)
+    parent: list[tuple[int, int]] = [(-1, -1)] * n
+    depth = [0] * n
     tree: list[int] = []
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for idx in adjacency[v]:
-            w = g.crossings[idx].other(v)
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                parent[w] = (idx, v)
-                tree.append(idx)
-                queue.append(w)
-
+    for w, idx, v in _breadth_first(g)[1:]:  # connected: one root, position 0
+        parent[w] = (idx, v)
+        depth[w] = depth[v] + 1
+        tree.append(idx)
     tree_set = set(tree)
 
-    def step_up(v: str) -> tuple[CycleStep, str]:
+    def step_up(v: int) -> tuple[CycleStep, int]:
         idx, up = parent[v]
-        return CycleStep(idx, g.crossings[idx].tail == v), up
+        return CycleStep(idx, g.index[g.crossings[idx].tail] == v), up
 
     cycles = []
-    for idx in sorted(i for i in range(len(g.crossings)) if i not in tree_set):
-        crossing = g.crossings[idx]
+    for idx, crossing in enumerate(g.crossings):
+        if idx in tree_set:
+            continue
         steps = [CycleStep(idx, True)]
-        u, v = crossing.head, crossing.tail
+        u, v = g.index[crossing.head], g.index[crossing.tail]
         ascent_u: list[CycleStep] = []
         ascent_v: list[CycleStep] = []
-        while depth[u] > depth[v]:
-            s, u = step_up(u)
-            ascent_u.append(s)
-        while depth[v] > depth[u]:
-            s, v = step_up(v)
-            ascent_v.append(s)
-        while u != v:
-            s, u = step_up(u)
-            ascent_u.append(s)
-            s, v = step_up(v)
-            ascent_v.append(s)
+        while u != v:  # climb the deeper end until both meet
+            if depth[u] >= depth[v]:
+                s, u = step_up(u)
+                ascent_u.append(s)
+            else:
+                s, v = step_up(v)
+                ascent_v.append(s)
         steps.extend(ascent_u)
         steps.extend(
             CycleStep(s.crossing, not s.forward) for s in reversed(ascent_v)
         )
         cycles.append(tuple(steps))
-    return CycleBasis(root, tuple(tree), tuple(cycles))
+    return CycleBasis(g.components[0].id, tuple(tree), tuple(cycles))
 
 
 def edge_weight(g: DualGraph, step: CycleStep) -> FieldElement | None:

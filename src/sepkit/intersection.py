@@ -63,17 +63,15 @@ class Definiteness:
 
 
 def intersection_matrix(g: DualGraph) -> IntersectionMatrix:
-    ids = [c.id for c in g.components]
-    index = {cid: i for i, cid in enumerate(ids)}
-    n = len(ids)
+    n = len(g.components)
     rows = [[0] * n for _ in range(n)]
-    for i, comp in enumerate(g.components):
-        rows[i][i] = comp.self_intersection
-    for crossing in g.crossings:
-        i, j = index[crossing.tail], index[crossing.head]
-        rows[i][j] += 1
-        rows[j][i] += 1
-    return IntersectionMatrix(tuple(ids), tuple(tuple(r) for r in rows))
+    for i, (comp, pairs) in enumerate(zip(g.components, g.incidence)):
+        row = rows[i]
+        row[i] = comp.self_intersection
+        for _, j in pairs:
+            row[j] += 1
+    return IntersectionMatrix(tuple(c.id for c in g.components),
+                              tuple(tuple(r) for r in rows))
 
 
 def _symmetric_pivots(rows) -> list[Fraction]:

@@ -41,7 +41,7 @@ from .dualgraph import (
     SN_WEAK_ON_CURVE,
     DualGraph,
     SmoothSingularity,
-    _pieces,
+    _breadth_first,
     has_errors,
     induced_subcurve,
     validate_indices,
@@ -383,17 +383,19 @@ def toma_prune(g: DualGraph) -> tuple[str, ...]:
     if g.cycle_rank:
         raise NotATree("pruning is defined for tree dual graphs only")
 
-    ids = [c.id for c in g.components]
-    piece = _pieces(ids, [c for c in g.crossings if c.kind != SADDLE_NODE])
-    in_degree = dict.fromkeys(piece.values(), 0)
+    # Each position's piece is named by its earliest position, the root.
+    piece = list(range(len(g.components)))
+    for p, _, up in _breadth_first(g, lambda c: c.kind != SADDLE_NODE):
+        piece[p] = p if up is None else piece[up]
+    in_degree = [0] * len(piece)
     for crossing in g.crossings:
         if crossing.kind == SADDLE_NODE:
-            in_degree[piece[crossing.weak]] += 1
-    winner = next((piece[cid] for cid in ids if in_degree[piece[cid]] == 0), None)
+            in_degree[piece[g.index[crossing.weak]]] += 1
+    winner = next((root for root in piece if in_degree[root] == 0), None)
     if winner is None:  # impossible by the counting argument above
         raise RuntimeError("internal error: every forest component has an "
                            "incoming weak-side arrow")
-    return tuple(cid for cid in ids if piece[cid] == winner)
+    return tuple(c.id for c, root in zip(g.components, piece) if root == winner)
 
 
 # ---------------------------------------------------------------------------

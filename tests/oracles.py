@@ -8,9 +8,17 @@ instead of head-side ones) so agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
-from sepkit.dualgraph import SADDLE_NODE, DualGraph
+from sepkit.dualgraph import (
+    NONDEGENERATE,
+    SADDLE_NODE,
+    Component,
+    Crossing,
+    DualGraph,
+)
+from sepkit.exactfield import NumberField
 from sepkit.holonomy import cycle_basis
 
 
@@ -317,3 +325,82 @@ def tail_side_holonomies(g: DualGraph) -> list:
             h = h * w
         out.append(h)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Relabelings: the same configuration in another input order or orientation
+
+
+def shuffled_components(g: DualGraph, rng) -> DualGraph:
+    order = list(g.components)
+    rng.shuffle(order)
+    return dataclasses.replace(g, components=tuple(order))
+
+
+def flipped_crossings(g: DualGraph, rng) -> DualGraph:
+    """Each crossing listed head first with probability 1/2, its
+    nondegenerate index given on the new tail side."""
+    out = []
+    for c in g.crossings:
+        if c.kind == NONDEGENERATE and rng.random() < 0.5:
+            out.append(Crossing(
+                c.head, c.tail, NONDEGENERATE, cs_tail=c.cs_tail.inverse()
+            ))
+        elif c.kind == SADDLE_NODE and rng.random() < 0.5:
+            out.append(Crossing(
+                c.head, c.tail, SADDLE_NODE, weak=c.weak, cs_weak=c.cs_weak
+            ))
+        else:
+            out.append(c)
+    return dataclasses.replace(g, crossings=tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# Closed-form families.  The intersection form of a chain or of a cusp
+# cycle of curves E_i with E_i^2 = -b_i is known in closed form, from
+# transfer matrices rather than elimination.  The graphs are built by hand
+# (not validated: no singularities balance the vertex sums), which the
+# matrix, the definiteness test and the cycle basis do not need.
+
+_RATIONALS = NumberField((Fraction(0),))
+
+
+def _curves(b, pairs) -> DualGraph:
+    minus_one = _RATIONALS.from_rational(-1)
+    return DualGraph(
+        _RATIONALS,
+        tuple(Component(f"E{i + 1}", -bi) for i, bi in enumerate(b)),
+        tuple(Crossing(f"E{i + 1}", f"E{j + 1}", NONDEGENERATE,
+                       cs_tail=minus_one) for i, j in pairs),
+    )
+
+
+def chain_graph(b) -> DualGraph:
+    """E1 - E2 - ... - En with self-intersections -b_1, ..., -b_n."""
+    return _curves(b, [(i, i + 1) for i in range(len(b) - 1)])
+
+
+def cusp_cycle(b) -> DualGraph:
+    """The cycle E1 - ... - En - E1, n >= 2, with self-intersections -b_i;
+    for n = 2 the two curves meet twice."""
+    n = len(b)
+    return _curves(b, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+
+
+def continuant(b) -> int:
+    """K(b_1..b_n) = b_n K(b_1..b_(n-1)) - K(b_1..b_(n-2)), K() = 1: the
+    determinant of the tridiagonal matrix with b on the diagonal and -1
+    beside it, so a chain's intersection matrix has det (-1)^n K."""
+    before, current = 0, 1
+    for bi in b:
+        before, current = current, bi * current - before
+    return current
+
+
+def cusp_trace(b) -> int:
+    """tr of the product of [[b_i, -1], [1, 0]] over i: a cusp cycle's
+    intersection matrix M has det(-M) = cusp_trace(b) - 2."""
+    m = (1, 0, 0, 1)  # row-major 2x2
+    for bi in b:
+        m = (m[0] * bi + m[1], -m[0], m[2] * bi + m[3], -m[2])
+    return m[0] + m[3]

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,9 +37,12 @@ from sepkit.exactfield import FieldElement
 from sepkit.fixtures import (
     make_camacho_cycle,
     make_p2_cycle,
+    make_random_graph,
     make_random_tree,
     make_torsion4,
 )
+
+from oracles import flipped_crossings, shuffled_components
 
 Q_FIELD = {"min_poly": ["0"]}
 
@@ -159,10 +163,11 @@ class TestParsing:
             "dual graph is not connected; unreachable from 'E1': ['E0', 'E4']"
         )
         g = graph_from_obj(chain_obj())
-        with pytest.raises(UnknownId) as exc:
-            dataclasses.replace(g, crossings=(
-                g.crossings[0], dataclasses.replace(g.crossings[1], tail="E7")))
-        assert str(exc.value) == "crossing endpoint 'E7' is not a component"
+        for end in ("tail", "head"):
+            stray = dataclasses.replace(g.crossings[1], **{end: "E7"})
+            with pytest.raises(UnknownId) as exc:
+                dataclasses.replace(g, crossings=(g.crossings[0], stray))
+            assert str(exc.value) == "crossing endpoint 'E7' is not a component"
 
     def test_dropping_a_bridge_crossing_is_rejected(self):
         g = graph_from_obj(chain_obj())
@@ -511,3 +516,84 @@ class TestInducedSubcurve:
         g = graph_from_obj(chain_obj())
         sub = induced_subcurve(g, ["E1", "E2", "E1"])
         assert [c.id for c in sub.components] == ["E1", "E2"]
+
+
+def incidence_by_scan(g):
+    """Per position, (crossing index, position of the other end) for every
+    crossing that touches the component there, by a scan of all crossings."""
+    ids = [c.id for c in g.components]
+    return tuple(
+        tuple((k, ids.index(c.other(cid)))
+              for k, c in enumerate(g.crossings) if cid in (c.tail, c.head))
+        for cid in ids
+    )
+
+
+def reachable_by_scan(g, crossings):
+    """Ids joined to the first component by `crossings`, by repeated scans."""
+    reached = {g.components[0].id}
+    grown = True
+    while grown:
+        grown = False
+        for c in crossings:
+            if (c.tail in reached) != (c.head in reached):
+                reached |= {c.tail, c.head}
+                grown = True
+    return reached
+
+
+def relabelings(seed):
+    """A random graph, and the same graph with its components and crossings
+    reordered and some crossings listed head first."""
+    rng = random.Random(seed)
+    g = make_random_graph(seed, n=2 + seed % 12, extra_crossings=seed % 5,
+                          saddle_node_probability=0.3)
+    crossings = list(g.crossings)
+    rng.shuffle(crossings)
+    moved = dataclasses.replace(g, crossings=tuple(crossings))
+    return [g, shuffled_components(g, rng),
+            flipped_crossings(shuffled_components(moved, rng), rng)]
+
+
+class TestIncidence:
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_each_crossing_once_at_each_end_in_input_order(self, seed):
+        for g in relabelings(seed):
+            assert g.index == {c.id: p for p, c in enumerate(g.components)}
+            assert g.incidence == incidence_by_scan(g)
+            assert sum(map(len, g.incidence)) == 2 * len(g.crossings)
+
+    def test_replace_rebuilds_the_incidence(self):
+        g = make_random_graph(3, n=6, extra_crossings=2)
+        for moved in (dataclasses.replace(g, crossings=g.crossings[::-1]),
+                      dataclasses.replace(g, components=g.components[::-1])):
+            assert moved.incidence != g.incidence
+            assert moved.incidence == incidence_by_scan(moved)
+            assert moved.index == {c.id: p for p, c in enumerate(moved.components)}
+
+    def test_structure_is_not_a_field(self):
+        g = make_random_graph(5, n=5, extra_crossings=1)
+        assert [f.name for f in dataclasses.fields(DualGraph)] == [
+            "field", "components", "crossings", "gorenstein", "closed_world"]
+        same = dataclasses.replace(g)
+        assert same == g and hash(same) == hash(g)
+        assert same.incidence == g.incidence
+        assert "incidence" not in repr(g) and "index" not in repr(g)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_disconnected_message_names_every_unreachable_id(self, seed):
+        for g in relabelings(seed):
+            k = random.Random(seed).randrange(len(g.crossings))
+            kept = g.crossings[:k] + g.crossings[k + 1:]
+            reached = reachable_by_scan(g, kept)
+            missing = [c.id for c in g.components if c.id not in reached]
+            if not missing:  # the crossing was on a cycle
+                dataclasses.replace(g, crossings=kept)
+                continue
+            with pytest.raises(Disconnected) as exc:
+                dataclasses.replace(g, crossings=kept)
+            assert str(exc.value) == (
+                "dual graph is not connected; unreachable from "
+                f"{g.components[0].id!r}: {missing}")

@@ -42,7 +42,13 @@ from sepkit.holonomy import (
 )
 from sepkit.intersection import divisor_pairing
 
-from oracles import tail_side_holonomies, tail_side_weight
+from oracles import (
+    cusp_cycle,
+    flipped_crossings,
+    shuffled_components,
+    tail_side_holonomies,
+    tail_side_weight,
+)
 
 QQ = NumberField((Fraction(0),))
 
@@ -131,6 +137,23 @@ class TestCycleBasis:
         basis = cycle_basis(g)
         assert basis.tree == (0,)
         assert len(basis.cycles) == 1
+
+    @given(st.lists(st.integers(2, 4), min_size=2, max_size=300))
+    @settings(max_examples=30, deadline=None)
+    def test_cusp_cycle_is_one_cycle_through_every_crossing(self, b):
+        g = cusp_cycle(b)
+        basis = cycle_basis(g)
+        assert len(basis.tree) == len(b) - 1
+        (cycle,) = basis.cycles
+        assert sorted(s.crossing for s in cycle) == list(range(len(b)))
+        # a closed walk: each step leaves from where the previous one ended
+        first = g.crossings[cycle[0].crossing]
+        at = first.head
+        for step in cycle[1:]:
+            c = g.crossings[step.crossing]
+            assert at == (c.tail if step.forward else c.head)
+            at = c.head if step.forward else c.tail
+        assert at == first.tail
 
 
 class TestEdgeWeight:
@@ -322,28 +345,6 @@ class TestResidualDivisor:
             g = make_p2_cycle(t)
             assert not has_errors(validate_indices(g))
             residual_divisor(g)
-
-
-def shuffled_components(g, rng):
-    order = list(g.components)
-    rng.shuffle(order)
-    return dataclasses.replace(g, components=tuple(order))
-
-
-def flipped_crossings(g, rng):
-    out = []
-    for c in g.crossings:
-        if c.kind == NONDEGENERATE and rng.random() < 0.5:
-            out.append(Crossing(
-                c.head, c.tail, NONDEGENERATE, cs_tail=c.cs_tail.inverse()
-            ))
-        elif c.kind == SADDLE_NODE and rng.random() < 0.5:
-            out.append(Crossing(
-                c.head, c.tail, SADDLE_NODE, weak=c.weak, cs_weak=c.cs_weak
-            ))
-        else:
-            out.append(c)
-    return dataclasses.replace(g, crossings=tuple(out))
 
 
 def representation_example(seed):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepkit.dualgraph import NONDEGENERATE, Component, Crossing, DualGraph
@@ -25,7 +25,15 @@ from sepkit.intersection import (
     intersection_matrix,
 )
 
-from oracles import dense_definiteness, quadratic_form_negative, solve_homogeneous
+from oracles import (
+    chain_graph,
+    continuant,
+    cusp_cycle,
+    cusp_trace,
+    dense_definiteness,
+    quadratic_form_negative,
+    solve_homogeneous,
+)
 
 QQ = NumberField((Fraction(0),))
 
@@ -220,6 +228,41 @@ class TestPivotRegressions:
         edges = [(i, i + 1) for i in range(6)] + [(2, 7)]
         d = definiteness(intersection_matrix(graph_with_matrix((-2,) * 8, edges)))
         assert d == Definiteness(True, 1, True)
+
+
+class TestClosedFormFamilies:
+    """The matrix build and definiteness against closed forms, on chains and
+    cusp cycles of curves E_i^2 = -b_i, b_i >= 2, up to a few hundred long."""
+
+    @given(st.lists(st.integers(2, 4), min_size=1, max_size=300))
+    @example([4, 3, 2] * 100)
+    @settings(max_examples=150, deadline=None)
+    def test_chain(self, b):
+        d = definiteness(intersection_matrix(chain_graph(b)))
+        det = (-1) ** len(b) * continuant(b)
+        assert d == Definiteness(True, det, True)
+
+    @given(st.lists(st.integers(2, 4), min_size=2, max_size=300))
+    @example([2] * 299 + [3])
+    @settings(max_examples=150, deadline=None)
+    def test_cusp_cycle(self, b):
+        d = definiteness(intersection_matrix(cusp_cycle(b)))
+        det = (-1) ** len(b) * (cusp_trace(b) - 2)
+        definite = max(b) >= 3
+        assert d == Definiteness(definite, det, det != 0)
+        assert (det != 0) is definite
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 300])
+    def test_cusp_cycle_of_minus_two_curves_is_singular(self, n):
+        assert cusp_trace([2] * n) == 2
+        d = definiteness(intersection_matrix(cusp_cycle([2] * n)))
+        assert d == Definiteness(False, 0, False)
+
+    def test_two_curves_meeting_twice(self):
+        m = intersection_matrix(cusp_cycle([3, 4]))
+        assert m.rows == ((-3, 2), (2, -4))
+        assert definiteness(m) == Definiteness(True, 8, True)
+        assert cusp_trace([3, 4]) - 2 == 8
 
 
 class TestDivisorPairing:

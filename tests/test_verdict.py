@@ -35,7 +35,6 @@ from sepkit.fixtures import (
     make_random_tree,
     make_torsion4,
 )
-from sepkit.holonomy import representation_class
 from sepkit.verdict import (
     CERTIFIED_ABSENT,
     CHECKS,
@@ -59,7 +58,12 @@ from sepkit.verdict import (
     verdict,
 )
 
-from oracles import prune_oracle, span_dimension_oracle
+from oracles import (
+    flipped_crossings,
+    prune_oracle,
+    shuffled_components,
+    span_dimension_oracle,
+)
 
 QQ = NumberField((Fraction(0),))
 SQRT2 = NumberField((Fraction(-2), Fraction(0)))
@@ -213,6 +217,25 @@ class TestChecks:
                 ok, evidence = run_check(g, name)
                 assert isinstance(ok, bool)
                 assert isinstance(evidence, str) and evidence
+
+    def test_power_trivial_check_with_a_saddle_node_on_a_cycle(self):
+        g = padded_cycle()
+        saddle_node = Crossing("E1", "E2", SADDLE_NODE, weak="E2", cs_weak=q(-1))
+        g = with_gorenstein(dataclasses.replace(
+            g, crossings=(saddle_node,) + g.crossings[1:]), 2, (2, 2, 2))
+        assert run_check(g, "gorenstein_holonomy_power_trivial") == (
+            False, "representation kind is indeterminate: saddle-node on "
+                   "fundamental cycle(s) [0]")
+
+    def test_closed_world_check_with_a_declared_singularity(self):
+        g, _ = make_camacho_cycle()
+        assert g.closed_world
+        e1 = dataclasses.replace(g.components[0], smooth_singularities=(
+            SmoothSingularity("s", NONDEGENERATE, q(-1), True),))
+        g = dataclasses.replace(g, components=(e1,) + g.components[1:])
+        assert run_check(g, "closed_world_declared") == (
+            False, "closed_world is set but 1 smooth-point singularity(ies) "
+                   "are declared")
 
 
 class TestVerdictChain:
@@ -578,28 +601,6 @@ class TestSubcurveCriterion:
             run_subcurve_check(strong_attachment_ambient(), ["E1"], "nope")
 
 
-def relabeled(g, rng):
-    order = list(g.components)
-    rng.shuffle(order)
-    return dataclasses.replace(g, components=tuple(order))
-
-
-def flipped(g, rng):
-    crossings = []
-    for c in g.crossings:
-        if c.kind == NONDEGENERATE and rng.random() < 0.5:
-            crossings.append(Crossing(
-                c.head, c.tail, NONDEGENERATE, cs_tail=c.cs_tail.inverse()
-            ))
-        elif c.kind == SADDLE_NODE and rng.random() < 0.5:
-            crossings.append(Crossing(
-                c.head, c.tail, SADDLE_NODE, weak=c.weak, cs_weak=c.cs_weak
-            ))
-        else:
-            crossings.append(c)
-    return dataclasses.replace(g, crossings=tuple(crossings))
-
-
 def invariance_pool(seed):
     builders = (
         lambda: make_random_tree(seed, n=2 + seed % 9,
@@ -621,7 +622,7 @@ class TestVerdictInvariance:
             g = invariance_pool(seed)
             base = verdict(g)
             rng = random.Random(seed)
-            mutated = flipped(relabeled(g, rng), rng)
+            mutated = flipped_crossings(shuffled_components(g, rng), rng)
             cert = verdict(mutated)
             assert cert.conclusion == base.conclusion, seed
             assert cert.rule == base.rule, seed
