@@ -5,14 +5,14 @@ A graph has one component (vertex) per irreducible curve, one crossing
 bag of smooth-point singularities on each component.  Crossings carry the
 index of the foliation along the tail component at the crossing point;
 the head side is always the reciprocal and is computed at most once per
-crossing (parsing hands it over when it already holds it).
-Parallel crossings are allowed (two components may meet several times);
-self-crossings are not representable and must be blown up first.
+crossing (construction hands it over when it flips a crossing listed head
+first).  Parallel crossings are allowed (two components may meet several
+times); self-crossings are not representable and must be blown up first.
 
 All index data lives in a single number field declared at the top of the
-input file.  Every DualGraph is connected, with at least one component:
-construction builds its incidence once and checks that with the one
-breadth-first traversal, and the code that reads a graph relies on both.
+input file.  Every DualGraph keeps every structural rule and is connected,
+with at least one component: construction checks both, however the graph
+was made, and builds its incidence once for the one breadth-first walk.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ SN_STRONG_ON_CURVE = "saddle_node_strong"
 SN_WEAK_ON_CURVE = "saddle_node_weak"
 
 SMOOTH_KINDS = (NONDEGENERATE, SN_STRONG_ON_CURVE, SN_WEAK_ON_CURVE)
+CROSSING_KINDS = (NONDEGENERATE, SADDLE_NODE)
 
 # Ids created by induced_subcurve for converted boundary crossings.
 CUT_PREFIX = "cut:"
@@ -73,12 +74,13 @@ class SmoothSingularity:
 class Crossing:
     """An intersection point of two distinct components.
 
-    Stored orientation is tail -> head with the tail earlier in input
-    order.  Nondegenerate crossings store cs_tail, the index along the
-    tail side; the head side index cs_head = 1/cs_tail is computed once
-    per crossing, on first use.  Saddle-node crossings mark which endpoint
-    carries the weak separatrix and optionally its index (the strong side
-    always has index 0).
+    A DualGraph stores it tail -> head with the tail earlier in its
+    components' order, flipping one given head first.  Nondegenerate
+    crossings store cs_tail, the nonzero index along the tail side; the
+    head side index cs_head = 1/cs_tail is computed once per crossing, on
+    first use.  Saddle-node crossings mark which endpoint carries the weak
+    separatrix and optionally its index (the strong side always has
+    index 0).
     """
 
     tail: str
@@ -132,11 +134,13 @@ class GorensteinData:
 
 @dataclass(frozen=True)
 class DualGraph:
-    """A connected dual graph.  Construction also stores `index` (component
-    id -> input position) and `incidence` (position -> the (crossing index,
-    other end's position) pairs there, in crossing input order).  They are
-    not fields: equality, hashing and repr ignore them, and
-    `dataclasses.replace` rebuilds them."""
+    """A connected dual graph that keeps every structural rule: construction
+    raises what parsing a document with the same fault raises.  It stores
+    crossings tail first and `gorenstein.a`, both in component order, plus
+    `index` (component id -> input position) and `incidence` (position ->
+    the (crossing index, other end's position) pairs there, in crossing
+    input order), which are not fields: equality, hashing and repr ignore
+    them, and `dataclasses.replace` rebuilds them."""
 
     field: NumberField
     components: tuple[Component, ...]
@@ -145,28 +149,45 @@ class DualGraph:
     closed_world: bool = False
 
     def __post_init__(self):
-        if not self.components:
+        components, crossings = self.components, self.crossings
+        if not components:
             raise SchemaError("a dual graph needs at least one component")
-        index = {c.id: p for p, c in enumerate(self.components)}
-        incidence: list[list[tuple[int, int]]] = [[] for _ in self.components]
-        try:
-            for k, c in enumerate(self.crossings):
-                tail, head = index[c.tail], index[c.head]
-                incidence[tail].append((k, head))
-                incidence[head].append((k, tail))
-        except KeyError as exc:
-            raise UnknownId(
-                f"crossing endpoint {exc.args[0]!r} is not a component"
-            ) from None
+        index: dict[str, int] = {}
+        singularity_ids: set[str] = set()  # ids are unique across both kinds
+        for p, comp in enumerate(components):
+            if comp.id in index or comp.id in singularity_ids:
+                raise SchemaError(f"components[{p}]: duplicate id {comp.id!r}")
+            index[comp.id] = p
+            for j, sing in enumerate(comp.smooth_singularities):
+                fault = (f"duplicate id {sing.id!r}"
+                         if sing.id in index or sing.id in singularity_ids
+                         else _singularity_fault(sing))
+                if fault:
+                    raise SchemaError(
+                        f"components[{p}].smooth_singularities[{j}]: {fault}")
+                singularity_ids.add(sing.id)
+        incidence: list[list[tuple[int, int]]] = [[] for _ in components]
+        stored = []  # tail first in component order
+        for k, c in enumerate(crossings):
+            tail, head = _ends(c, k, index)
+            if tail > head:
+                c, tail, head = _flipped(c), head, tail
+            stored.append(c)
+            incidence[tail].append((k, head))
+            incidence[head].append((k, tail))
+        object.__setattr__(self, "crossings", tuple(stored))
+        if self.gorenstein is not None:
+            object.__setattr__(self, "gorenstein",
+                               _checked_gorenstein(self.gorenstein, components, index))
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "incidence", tuple(map(tuple, incidence)))
         visits = _breadth_first(self)
         roots = [i for i, visit in enumerate(visits) if visit[1] is None]
         if roots[1:]:  # position 0's tree is visits[:roots[1]]
-            missing = [self.components[p].id for p in sorted(
+            missing = [components[p].id for p in sorted(
                 visit[0] for visit in visits[roots[1]:])]
             raise Disconnected("dual graph is not connected; unreachable "
-                               f"from {self.components[0].id!r}: {missing}")
+                               f"from {components[0].id!r}: {missing}")
 
     @property
     def cycle_rank(self) -> int:
@@ -182,6 +203,76 @@ class DualGraph:
 
     def has_saddle_node_crossing(self) -> bool:
         return any(c.kind == SADDLE_NODE for c in self.crossings)
+
+
+def _singularity_fault(s: SmoothSingularity) -> str | None:
+    """What is wrong with the kind, index or separatrix of `s`, if anything."""
+    if s.kind not in SMOOTH_KINDS:
+        return f"unknown kind {s.kind!r}"
+    if s.kind == NONDEGENERATE and (s.cs is None or not any(s.cs.nums)):
+        return "a nondegenerate singularity needs a nonzero cs"
+    if s.kind == SN_STRONG_ON_CURVE and (s.cs is None or any(s.cs.nums)):
+        return "the strong side of a saddle-node has index 0"
+    if s.kind == NONDEGENERATE and not s.has_transverse_separatrix:
+        return "a nondegenerate singularity always carries a transverse separatrix"
+    return None
+
+
+def _ends(c: Crossing, k: int, index: dict[str, int]) -> tuple[int, int]:
+    """The input positions of the tail and head of crossings[k] = `c`, or
+    the error for the first rule it breaks."""
+    if c.kind not in CROSSING_KINDS:
+        raise SchemaError(f"crossings[{k}]: unknown kind {c.kind!r}")
+    tail = None
+    try:
+        tail = index[c.tail]
+        head = index[c.head]
+    except (KeyError, TypeError):  # TypeError: an unhashable endpoint
+        end = c.tail if tail is None else c.head
+        raise UnknownId(f"crossings[{k}]: unknown component id {end!r}") from None
+    if tail == head:
+        raise SelfLoop(f"crossings[{k}]: component {c.tail!r} crosses itself; "
+                       "self-crossings are not representable here, blow up the "
+                       "crossing point first and re-enter the resulting configuration")
+    if c.kind == NONDEGENERATE:
+        if c.cs_tail is None or not any(c.cs_tail.nums):
+            raise SchemaError(
+                f"crossings[{k}]: a nondegenerate crossing needs a nonzero cs_tail")
+    elif c.weak != c.tail and c.weak != c.head:
+        raise SchemaError(f"crossings[{k}]: weak must name one of the two endpoints")
+    return tail, head
+
+
+def _flipped(c: Crossing) -> Crossing:
+    """`c` listed the other way round: its one inverse becomes cs_tail."""
+    if c.kind == SADDLE_NODE:
+        return Crossing(c.head, c.tail, SADDLE_NODE, weak=c.weak, cs_weak=c.cs_weak)
+    flipped = Crossing(c.head, c.tail, NONDEGENERATE, cs_tail=c.cs_head)
+    # The given index is the head side: fill the cached_property with it.
+    vars(flipped)["cs_head"] = c.cs_tail
+    return flipped
+
+
+def _checked_gorenstein(data: GorensteinData, components: tuple[Component, ...],
+                        index: dict[str, int]) -> GorensteinData:
+    """`data`, with `a` in component order, once k is a positive integer and
+    `a` maps exactly the components to integers."""
+    if type(data.k) is not int or data.k < 1:
+        raise SchemaError("gorenstein.k must be a positive integer")
+    named = {}
+    for cid, value in data.a:
+        if not (isinstance(cid, str) and cid in index):
+            raise UnknownId(f"gorenstein.a: unknown component id {cid!r}")
+        if cid in named:
+            raise SchemaError(f"gorenstein.a: duplicate id {cid!r}")
+        named[cid] = value
+    for comp in components:
+        if comp.id not in named:
+            raise SchemaError(f"gorenstein.a must cover component {comp.id!r}")
+        if type(named[comp.id]) is not int:
+            raise SchemaError(f"gorenstein.a[{comp.id!r}] must be an integer")
+    a = tuple((comp.id, named[comp.id]) for comp in components)
+    return data if a == data.a else GorensteinData(data.k, a)
 
 
 def _breadth_first(g: DualGraph, keep: Callable[[Crossing], bool] | None = None
@@ -231,9 +322,10 @@ class Finding:
 # Parsing
 #
 # Every position of the input document is read through one of the readers
-# below, so each schema rule is written once and a value of the wrong shape
-# ends in a SchemaError (UnknownId for a reference), wherever it stands.
-# `where` names the position in the messages.
+# below, so each shape rule is written once and a value of the wrong JSON
+# shape ends in a SchemaError, wherever it stands.  `where` names the
+# position in the messages.  Everything else (ids, kinds, endpoints,
+# indices, gorenstein data) is DualGraph's to check, at the same positions.
 
 
 def _keys(required: str, optional: str = "") -> tuple[frozenset, frozenset]:
@@ -245,13 +337,12 @@ def _keys(required: str, optional: str = "") -> tuple[frozenset, frozenset]:
 _INPUT_KEYS = _keys("field components crossings", "gorenstein closed_world")
 _COMPONENT_KEYS = _keys("id self_intersection", "genus smooth_singularities")
 _SINGULARITY_KEYS = _keys("id kind cs", "separatrix")
-_CROSSING_KEYS = {
-    NONDEGENERATE: _keys("tail head kind cs_tail"),
-    SADDLE_NODE: _keys("tail head kind weak", "cs_weak"),
-}
-_CROSSING_KINDS = tuple(_CROSSING_KEYS)
+_CROSSING_KEYS = dict(zip(CROSSING_KINDS, (
+    _keys("tail head kind cs_tail"),
+    _keys("tail head kind weak", "cs_weak"),
+)))
 _GORENSTEIN_KEYS = _keys("k a")
-_INTEGER = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+_INTEGER = {None: "an integer", 0: "a non-negative integer"}
 
 
 def _object(value, where: str, keys: tuple[frozenset, frozenset] | None = None) -> dict:
@@ -288,101 +379,40 @@ def _bool(value, where: str) -> bool:
     return value
 
 
-def _kind(obj: dict, where: str, kinds: tuple) -> str:
-    """The "kind" of the record `obj`, one of `kinds` (compared by ==, so
-    an unhashable value is an unknown kind, not a TypeError)."""
-    kind = obj.get("kind")
-    if kind not in kinds:
-        if "kind" not in obj:
-            raise SchemaError(f"{where}: missing keys ['kind']")
-        raise SchemaError(f"{where}: unknown kind {kind!r}")
-    return kind
-
-
-def _fresh_id(value, where: str, seen: set[str]) -> str:
-    """`value` as an id not in `seen`, which it then joins."""
+def _id(value, where: str) -> str:
     if not isinstance(value, str) or not value:
         raise SchemaError(f"{where}: id must be a non-empty string")
     if value.startswith(CUT_PREFIX):
         raise SchemaError(f"{where}: the id prefix {CUT_PREFIX!r} is reserved")
-    if value in seen:
-        raise SchemaError(f"{where}: duplicate id {value!r}")
-    seen.add(value)
     return value
 
 
-def _position(value, where: str, positions: dict[str, int]) -> int:
-    """Input position of the component that `value` names."""
-    position = positions.get(value) if isinstance(value, str) else None
-    if position is None:
-        raise UnknownId(f"{where}: unknown component id {value!r}")
-    return position
-
-
-def _per_component(value, where: str, positions: dict[str, int]) -> dict:
-    """`value` as a JSON object keyed by exactly the component ids."""
-    obj = _object(value, where)
-    for cid in obj:
-        _position(cid, where, positions)
-    for cid in positions:
-        if cid not in obj:
-            raise SchemaError(f"{where} must cover component {cid!r}")
-    return obj
-
-
-def _parse_smooth_singularity(raw, field: NumberField, where: str,
-                              seen: set[str]) -> SmoothSingularity:
+def _parse_smooth_singularity(raw, field: NumberField, where: str) -> SmoothSingularity:
     obj = _object(raw, where, _SINGULARITY_KEYS)
-    sid = _fresh_id(obj["id"], where, seen)
-    kind = _kind(obj, where, SMOOTH_KINDS)
+    sid, kind = _id(obj["id"], where), obj["kind"]
     cs = None if obj["cs"] is None else field.parse_element(obj["cs"])
-    if kind == NONDEGENERATE and (cs is None or cs.is_zero):
-        raise SchemaError(f"{where}: a nondegenerate singularity needs a nonzero cs")
-    if kind == SN_STRONG_ON_CURVE:
-        if cs is not None and not cs.is_zero:
-            raise SchemaError(f"{where}: the strong side of a saddle-node has index 0")
-        cs = field.zero()
+    if cs is None and kind == SN_STRONG_ON_CURVE:
+        cs = field.zero()  # the strong side's index, when none is given
     # On the weak side cs may stay None: the index is unknown.
     separatrix = _bool(obj.get("separatrix", kind != SN_STRONG_ON_CURVE),
                        f"{where}.separatrix")
-    if kind == NONDEGENERATE and not separatrix:
-        raise SchemaError(f"{where}: a nondegenerate singularity always carries "
-                          "a transverse separatrix")
     return SmoothSingularity(sid, kind, cs, separatrix)
 
 
-def _parse_crossing(raw, field: NumberField, positions: dict[str, int],
-                    where: str) -> Crossing:
-    kind = _kind(_object(raw, where), where, _CROSSING_KINDS)
-    obj = _object(raw, where, _CROSSING_KEYS[kind])
-    tail, head = obj["tail"], obj["head"]
-    tail_at, head_at = (_position(tail, where, positions),
-                        _position(head, where, positions))
-    if tail_at == head_at:
-        raise SelfLoop(
-            f"{where}: component {tail!r} crosses itself; self-crossings are "
-            "not representable here, blow up the crossing point first and "
-            "re-enter the resulting configuration"
-        )
+def _parse_crossing(raw, field: NumberField, where: str) -> Crossing:
+    obj = _object(raw, where)
+    kind = obj.get("kind")
+    if kind not in CROSSING_KINDS:  # no key set to check: DualGraph names it
+        if "kind" not in obj:
+            raise SchemaError(f"{where}: missing keys ['kind']")
+        return Crossing(obj.get("tail"), obj.get("head"), kind)
+    _object(obj, where, _CROSSING_KEYS[kind])
     if kind == NONDEGENERATE:
-        cs_tail = field.parse_element(obj["cs_tail"])
-        if cs_tail.is_zero:
-            raise SchemaError(
-                f"{where}: a nondegenerate crossing needs a nonzero cs_tail")
-        if tail_at < head_at:
-            return Crossing(tail, head, NONDEGENERATE, cs_tail=cs_tail)
-        crossing = Crossing(head, tail, NONDEGENERATE, cs_tail=cs_tail.inverse())
-        # The given index is the head side: fill the cached_property with it.
-        vars(crossing)["cs_head"] = cs_tail
-        return crossing
-    weak = obj["weak"]
-    if weak not in (tail, head):
-        raise SchemaError(f"{where}: weak must name one of the two endpoints")
-    raw_weak = obj.get("cs_weak")
-    cs_weak = None if raw_weak is None else field.parse_element(raw_weak)
-    if tail_at > head_at:
-        tail, head = head, tail
-    return Crossing(tail, head, SADDLE_NODE, weak=weak, cs_weak=cs_weak)
+        return Crossing(obj["tail"], obj["head"], kind,
+                        cs_tail=field.parse_element(obj["cs_tail"]))
+    cs_weak = obj.get("cs_weak")
+    return Crossing(obj["tail"], obj["head"], kind, weak=obj["weak"],
+                    cs_weak=None if cs_weak is None else field.parse_element(cs_weak))
 
 
 def graph_from_obj(obj) -> DualGraph:
@@ -391,34 +421,29 @@ def graph_from_obj(obj) -> DualGraph:
     field = NumberField.from_json(obj["field"])
 
     components = []
-    seen: set[str] = set()
     for i, raw in enumerate(_array(obj["components"], "components", nonempty=True)):
         where = f"components[{i}]"
         raw = _object(raw, where, _COMPONENT_KEYS)
-        cid = _fresh_id(raw["id"], where, seen)
+        cid = _id(raw["id"], where)
         selfint = _int(raw["self_intersection"], f"{where}.self_intersection")
         genus = _int(raw.get("genus", 0), f"{where}.genus", least=0)
         sings_at = f"{where}.smooth_singularities"
         sings = tuple(
-            _parse_smooth_singularity(sing, field, f"{sings_at}[{j}]", seen)
+            _parse_smooth_singularity(sing, field, f"{sings_at}[{j}]")
             for j, sing in enumerate(_array(raw.get("smooth_singularities", []),
                                             sings_at))
         )
         components.append(Component(cid, selfint, genus, sings))
-    positions = {comp.id: i for i, comp in enumerate(components)}
 
     crossings = tuple(
-        _parse_crossing(raw, field, positions, f"crossings[{i}]")
+        _parse_crossing(raw, field, f"crossings[{i}]")
         for i, raw in enumerate(_array(obj["crossings"], "crossings"))
     )
     gorenstein = None
     if obj.get("gorenstein") is not None:
         raw_g = _object(obj["gorenstein"], "gorenstein", _GORENSTEIN_KEYS)
-        k = _int(raw_g["k"], "gorenstein.k", least=1)
-        a = _per_component(raw_g["a"], "gorenstein.a", positions)
-        gorenstein = GorensteinData(k, tuple(
-            (cid, _int(a[cid], f"gorenstein.a[{cid!r}]")) for cid in positions
-        ))
+        a = _object(raw_g["a"], "gorenstein.a")
+        gorenstein = GorensteinData(raw_g["k"], tuple(a.items()))
     closed_world = _bool(obj.get("closed_world", False), "closed_world")
     return DualGraph(field, tuple(components), crossings, gorenstein, closed_world)
 
@@ -436,30 +461,17 @@ def parse_graph(text: str | bytes) -> DualGraph:
 # Serialization
 
 
-def _smooth_singularity_to_obj(s: SmoothSingularity) -> dict:
-    return {
-        "id": s.id,
-        "kind": s.kind,
-        "cs": None if s.cs is None else s.cs.to_json(),
-        "separatrix": s.has_transverse_separatrix,
-    }
+def _or_null(value: FieldElement | None):
+    return None if value is None else value.to_json()
 
 
 def _crossing_to_obj(c: Crossing) -> dict:
+    obj = {"tail": c.tail, "head": c.head, "kind": c.kind}
     if c.kind == NONDEGENERATE:
-        return {
-            "tail": c.tail,
-            "head": c.head,
-            "kind": c.kind,
-            "cs_tail": c.cs_tail.to_json(),
-        }
-    return {
-        "tail": c.tail,
-        "head": c.head,
-        "kind": c.kind,
-        "weak": c.weak,
-        "cs_weak": None if c.cs_weak is None else c.cs_weak.to_json(),
-    }
+        obj["cs_tail"] = c.cs_tail.to_json()
+    else:
+        obj.update(weak=c.weak, cs_weak=_or_null(c.cs_weak))
+    return obj
 
 
 def graph_to_obj(g: DualGraph) -> dict:
@@ -471,7 +483,9 @@ def graph_to_obj(g: DualGraph) -> dict:
                 "self_intersection": comp.self_intersection,
                 "genus": comp.genus,
                 "smooth_singularities": [
-                    _smooth_singularity_to_obj(s) for s in comp.smooth_singularities
+                    {"id": s.id, "kind": s.kind, "cs": _or_null(s.cs),
+                     "separatrix": s.has_transverse_separatrix}
+                    for s in comp.smooth_singularities
                 ],
             }
             for comp in g.components
@@ -480,10 +494,7 @@ def graph_to_obj(g: DualGraph) -> dict:
         "closed_world": g.closed_world,
     }
     if g.gorenstein is not None:
-        obj["gorenstein"] = {
-            "k": g.gorenstein.k,
-            "a": {cid: value for cid, value in g.gorenstein.a},
-        }
+        obj["gorenstein"] = {"k": g.gorenstein.k, "a": dict(g.gorenstein.a)}
     return obj
 
 
@@ -642,26 +653,15 @@ def induced_subcurve(g: DualGraph, keep: Iterable[str]) -> DualGraph:
             ))
 
     components = tuple(
-        replace(
-            comp,
-            smooth_singularities=comp.smooth_singularities + tuple(extra[comp.id]),
-        )
-        for comp in g.components
-        if comp.id in kept
+        replace(comp, smooth_singularities=comp.smooth_singularities
+                + tuple(extra[comp.id]))
+        for comp in g.components if comp.id in kept
     )
-
-    gorenstein = None
-    if g.gorenstein is not None:
-        gorenstein = GorensteinData(
-            g.gorenstein.k,
-            tuple(pair for pair in g.gorenstein.a if pair[0] in kept),
-        )
-
+    gorenstein = g.gorenstein and replace(
+        g.gorenstein, a=tuple(pair for pair in g.gorenstein.a if pair[0] in kept))
     any_cut = any(extra[cid] for cid in extra)
     try:
-        return DualGraph(
-            g.field, components, tuple(internal), gorenstein,
-            g.closed_world and not any_cut,
-        )
+        return DualGraph(g.field, components, tuple(internal), gorenstein,
+                         g.closed_world and not any_cut)
     except Disconnected as exc:
         raise DisconnectedSelection(str(exc)) from None

@@ -651,7 +651,7 @@ def certify(a: GraphAnalysis) -> Certificate:
                             "sum((a_i - k) E_i) . E_j = 0 for every j",
                 "nonzero_pairings": pairings,
             })
-        # Consistent data forces a_i = k.  For k >= 1, holonomy^k = 1 on
+        # Consistent data forces a_i = k.  As k >= 1, holonomy^k = 1 on
         # every cycle makes the representation trivial or torsion, which
         # rules 2 and 3 have decided already, so the check is only
         # recorded and the chain goes on.

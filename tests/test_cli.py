@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import shutil
@@ -6,6 +7,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepkit.cli import run_cli
 from sepkit.dualgraph import (
@@ -24,6 +27,7 @@ from sepkit.fixtures import (
     _assemble,
     make_camacho_cycle,
     make_quadratic_chain,
+    make_random_graph,
     make_random_tree,
 )
 from sepkit.report import analyze
@@ -485,6 +489,63 @@ class TestValuesPastTheDigitLimit:
         path = past_digit_limit_path(tmp_path)
         assert run_cli(["validate", "--input", path, "--format", "text"]) == 1
         assert f"indices sum to {self.SUMS['E1']}," in capsys.readouterr().out
+
+
+KINDS = ["nondegenerate", "saddle_node", "saddle_node_strong",
+         "saddle_node_weak", "nondegenrate"]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A small valid document with one structural fault put into it."""
+    n = draw(st.integers(2, 12))
+    g = make_random_graph(draw(st.integers(0, 10 ** 6)), n,
+                          draw(st.integers(0, 2)), 0.3)
+    obj = json.loads(serialize_graph(g))
+    comps, crossings = obj["components"], obj["crossings"]
+    obj["gorenstein"] = {"k": 2, "a": {c["id"]: 2 for c in comps}}
+    sings = [s for c in comps for s in c["smooth_singularities"]]
+    ids = [c["id"] for c in comps] + [s["id"] for s in sings] + ["E99"]
+    crossing = draw(st.sampled_from(crossings))
+    mutation = draw(st.sampled_from([
+        "swap_id", "retarget", "flip", "crossing_kind", "singularity_kind",
+        "zero_crossing", "zero_singularity", "drop_gorenstein_key"]))
+    if mutation == "swap_id":
+        draw(st.sampled_from(comps + sings))["id"] = draw(st.sampled_from(ids))
+    elif mutation == "retarget":
+        crossing[draw(st.sampled_from(["tail", "head"]))] = draw(st.sampled_from(ids))
+    elif mutation == "flip":
+        crossing["tail"], crossing["head"] = crossing["head"], crossing["tail"]
+    elif mutation == "crossing_kind":
+        crossing["kind"] = draw(st.sampled_from(KINDS))
+    elif mutation == "singularity_kind" and sings:
+        draw(st.sampled_from(sings))["kind"] = draw(st.sampled_from(KINDS))
+    elif mutation == "zero_crossing" and crossing["kind"] == "nondegenerate":
+        crossing["cs_tail"] = ["0"]
+    elif mutation == "zero_singularity" and sings:
+        draw(st.sampled_from(sings))["cs"] = ["0"]
+    elif mutation == "drop_gorenstein_key":
+        del obj["gorenstein"]["a"][draw(st.sampled_from(sorted(obj["gorenstein"]["a"])))]
+    return obj
+
+
+class TestStructuralFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(obj=mutated_documents())
+    def test_exit_code_and_one_error_line(self, tmp_path_factory, obj):
+        root = tmp_path_factory.getbasetemp()
+        path, output = root / "fuzz.json", root / "fuzz.out"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        for command in ("validate", "verdict", "analyze"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = run_cli([command, "--input", str(path), "--output", str(output)])
+            assert rc in (0, 1), (command, rc)
+            if err.getvalue():  # the run ended in an error
+                assert rc == 1
+                lines = err.getvalue().split("\n")
+                assert len(lines) == 2 and lines[1] == "", (command, lines)
+                assert lines[0].startswith("error: "), (command, lines)
 
 
 class TestUsage:

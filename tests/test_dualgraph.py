@@ -15,7 +15,10 @@ from sepkit.dualgraph import (
     SN_STRONG_ON_CURVE,
     SN_WEAK_ON_CURVE,
     Component,
+    Crossing,
     DualGraph,
+    GorensteinData,
+    SmoothSingularity,
     graph_from_obj,
     graph_to_obj,
     has_errors,
@@ -33,7 +36,7 @@ from sepkit.errors import (
     SepkitError,
     UnknownId,
 )
-from sepkit.exactfield import FieldElement
+from sepkit.exactfield import FieldElement, NumberField
 from sepkit.fixtures import (
     make_camacho_cycle,
     make_p2_cycle,
@@ -45,6 +48,7 @@ from sepkit.fixtures import (
 from oracles import flipped_crossings, shuffled_components
 
 Q_FIELD = {"min_poly": ["0"]}
+QQ = NumberField.from_json(Q_FIELD)
 
 
 def comp(cid, e, sings=None):
@@ -167,7 +171,7 @@ class TestParsing:
             stray = dataclasses.replace(g.crossings[1], **{end: "E7"})
             with pytest.raises(UnknownId) as exc:
                 dataclasses.replace(g, crossings=(g.crossings[0], stray))
-            assert str(exc.value) == "crossing endpoint 'E7' is not a component"
+            assert str(exc.value) == "crossings[1]: unknown component id 'E7'"
 
     def test_dropping_a_bridge_crossing_is_rejected(self):
         g = graph_from_obj(chain_obj())
@@ -291,6 +295,180 @@ class TestParsing:
         assert obj["components"][0]["genus"] == 0
         assert obj["components"][0]["smooth_singularities"] == []
         assert json.loads(serialize_graph(g)) == obj
+
+
+def on_first_component(g, *sings):
+    """`g` with `sings` as the first component's smooth singularities."""
+    first = dataclasses.replace(g.components[0], smooth_singularities=sings)
+    return dataclasses.replace(g, components=(first,) + g.components[1:])
+
+
+def q(value):
+    return QQ.from_rational(Fraction(value))
+
+
+def sing_obj(sid, kind, cs, **extra):
+    return {"id": sid, "kind": kind, "cs": None if cs is None else [cs], **extra}
+
+
+# One fault each: how to put it into the chain document, how to build it by
+# hand from the parsed chain, and the message both must raise.
+HAND_BUILT_FAULTS = {
+    "partial_gorenstein_a": (
+        lambda obj: obj.update(gorenstein={"k": 2, "a": {"E1": 2, "E2": 2}}),
+        lambda g: dataclasses.replace(
+            g, gorenstein=GorensteinData(2, (("E1", 2), ("E2", 2)))),
+        SchemaError, "gorenstein.a must cover component 'E3'",
+    ),
+    "gorenstein_a_unknown_id": (
+        lambda obj: obj.update(gorenstein={"k": 1, "a": {
+            "E1": 1, "E9": 1, "E2": 1, "E3": 1}}),
+        lambda g: dataclasses.replace(g, gorenstein=GorensteinData(
+            1, (("E1", 1), ("E9", 1), ("E2", 1), ("E3", 1)))),
+        UnknownId, "gorenstein.a: unknown component id 'E9'",
+    ),
+    "gorenstein_a_not_an_integer": (
+        lambda obj: obj.update(gorenstein={"k": 1, "a": {
+            "E1": 1, "E2": 1.5, "E3": 1}}),
+        lambda g: dataclasses.replace(g, gorenstein=GorensteinData(
+            1, (("E1", 1), ("E2", 1.5), ("E3", 1)))),
+        SchemaError, "gorenstein.a['E2'] must be an integer",
+    ),
+    "zero_gorenstein_k": (
+        lambda obj: obj.update(gorenstein={"k": 0, "a": {
+            "E1": 0, "E2": 0, "E3": 0}}),
+        lambda g: dataclasses.replace(g, gorenstein=GorensteinData(
+            0, (("E1", 0), ("E2", 0), ("E3", 0)))),
+        SchemaError, "gorenstein.k must be a positive integer",
+    ),
+    "misspelt_crossing_kind": (
+        lambda obj: obj["crossings"][0].update(kind="nondegenrate"),
+        lambda g: dataclasses.replace(g, crossings=(
+            dataclasses.replace(g.crossings[0], kind="nondegenrate"),
+            g.crossings[1])),
+        SchemaError, "crossings[0]: unknown kind 'nondegenrate'",
+    ),
+    "weak_not_an_endpoint": (
+        lambda obj: obj["crossings"].__setitem__(0, sn("E1", "E2", weak="E3")),
+        lambda g: dataclasses.replace(g, crossings=(
+            Crossing("E1", "E2", SADDLE_NODE, weak="E3"), g.crossings[1])),
+        SchemaError, "crossings[0]: weak must name one of the two endpoints",
+    ),
+    "self_crossing": (
+        lambda obj: obj["crossings"].append(nondeg("E2", "E2", "-1")),
+        lambda g: dataclasses.replace(g, crossings=g.crossings + (
+            Crossing("E2", "E2", NONDEGENERATE, cs_tail=q(-1)),)),
+        SelfLoop, "crossings[2]: component 'E2' crosses itself; self-crossings "
+        "are not representable here, blow up the crossing point first and "
+        "re-enter the resulting configuration",
+    ),
+    "zero_cs_tail": (
+        lambda obj: obj["crossings"].__setitem__(1, nondeg("E2", "E3", "0")),
+        lambda g: dataclasses.replace(g, crossings=(
+            g.crossings[0], Crossing("E2", "E3", NONDEGENERATE, cs_tail=q(0)))),
+        SchemaError, "crossings[1]: a nondegenerate crossing needs a nonzero cs_tail",
+    ),
+    "duplicate_component_id": (
+        lambda obj: obj["components"][2].update(id="E1"),
+        lambda g: dataclasses.replace(g, components=g.components[:2] + (
+            dataclasses.replace(g.components[2], id="E1"),)),
+        SchemaError, "components[2]: duplicate id 'E1'",
+    ),
+    "singularity_id_of_a_component": (
+        lambda obj: obj["components"][0].update(smooth_singularities=[
+            sing_obj("E2", NONDEGENERATE, "-1")]),
+        lambda g: on_first_component(
+            g, SmoothSingularity("E2", NONDEGENERATE, q(-1), True)),
+        SchemaError, "components[1]: duplicate id 'E2'",
+    ),
+    "repeated_singularity_id": (
+        lambda obj: obj["components"][0].update(smooth_singularities=[
+            sing_obj("s", NONDEGENERATE, "-1"), sing_obj("s", NONDEGENERATE, "-1")]),
+        lambda g: on_first_component(
+            g, *[SmoothSingularity("s", NONDEGENERATE, q(-1), True)] * 2),
+        SchemaError, "components[0].smooth_singularities[1]: duplicate id 's'",
+    ),
+    "nondegenerate_singularity_index_0": (
+        lambda obj: obj["components"][0].update(smooth_singularities=[
+            sing_obj("s", NONDEGENERATE, "0")]),
+        lambda g: on_first_component(
+            g, SmoothSingularity("s", NONDEGENERATE, q(0), True)),
+        SchemaError, "components[0].smooth_singularities[0]: a nondegenerate "
+        "singularity needs a nonzero cs",
+    ),
+    "misspelt_singularity_kind": (
+        lambda obj: obj["components"][0].update(smooth_singularities=[
+            sing_obj("s", "saddle_node_weka", "-1")]),
+        lambda g: on_first_component(
+            g, SmoothSingularity("s", "saddle_node_weka", q(-1), True)),
+        SchemaError, "components[0].smooth_singularities[0]: unknown kind "
+        "'saddle_node_weka'",
+    ),
+    "strong_side_index_not_0": (
+        lambda obj: obj["components"][0].update(smooth_singularities=[
+            sing_obj("s", SN_STRONG_ON_CURVE, "1")]),
+        lambda g: on_first_component(
+            g, SmoothSingularity("s", SN_STRONG_ON_CURVE, q(1), False)),
+        SchemaError, "components[0].smooth_singularities[0]: the strong side of "
+        "a saddle-node has index 0",
+    ),
+    "nondegenerate_without_separatrix": (
+        lambda obj: obj["components"][0].update(smooth_singularities=[
+            sing_obj("s", NONDEGENERATE, "-1", separatrix=False)]),
+        lambda g: on_first_component(
+            g, SmoothSingularity("s", NONDEGENERATE, q(-1), False)),
+        SchemaError, "components[0].smooth_singularities[0]: a nondegenerate "
+        "singularity always carries a transverse separatrix",
+    ),
+}
+
+
+class TestHandBuiltGraphs:
+    """A graph built by hand is checked like a parsed one."""
+
+    @pytest.mark.parametrize("fault", list(HAND_BUILT_FAULTS))
+    def test_same_error_as_the_parser(self, fault):
+        put, build, error, message = HAND_BUILT_FAULTS[fault]
+        obj = chain_obj()
+        put(obj)
+        with pytest.raises(error) as parsed:
+            graph_from_obj(obj)
+        with pytest.raises(error) as built:
+            build(graph_from_obj(chain_obj()))
+        assert str(parsed.value) == str(built.value) == message
+
+    def test_crossing_stored_head_first_is_flipped(self):
+        g = graph_from_obj(chain_obj())
+        built = dataclasses.replace(g, crossings=(
+            Crossing("E2", "E1", NONDEGENERATE, cs_tail=q(-4)),
+            Crossing("E3", "E2", SADDLE_NODE, weak="E3", cs_weak=q(-2))))
+        obj = chain_obj()
+        obj["crossings"] = [nondeg("E2", "E1", "-4"),
+                            sn("E3", "E2", weak="E3", cs_weak="-2")]
+        assert built == graph_from_obj(obj)
+        assert [(c.tail, c.head) for c in built.crossings] == [
+            ("E1", "E2"), ("E2", "E3")]
+        assert built.crossings[0].cs_tail == q(Fraction(-1, 4))
+        assert built.crossings[0].cs_head == q(-4)
+
+    def test_gorenstein_a_kept_in_component_order(self):
+        g = graph_from_obj(chain_obj())
+        built = dataclasses.replace(g, gorenstein=GorensteinData(
+            2, (("E3", 3), ("E1", 1), ("E2", 2))))
+        assert built.gorenstein.a == (("E1", 1), ("E2", 2), ("E3", 3))
+        obj = chain_obj()
+        obj["gorenstein"] = {"k": 2, "a": {"E3": 3, "E1": 1, "E2": 2}}
+        assert graph_from_obj(obj) == built
+        with pytest.raises(SchemaError) as exc:
+            dataclasses.replace(g, gorenstein=GorensteinData(
+                2, (("E1", 1), ("E2", 2), ("E1", 1), ("E3", 3))))
+        assert str(exc.value) == "gorenstein.a: duplicate id 'E1'"
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_every_graph_round_trips(self, seed):
+        for g in relabelings(seed):
+            assert parse_graph(serialize_graph(g)) == g
 
 
 # A document that uses every schema position once: optional keys, both

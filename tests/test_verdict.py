@@ -24,6 +24,7 @@ from sepkit.errors import (
     GorensteinInconsistent,
     HypothesisUnmet,
     NotATree,
+    SchemaError,
     ValidationFailed,
 )
 from sepkit.exactfield import NumberField
@@ -478,15 +479,16 @@ class TestGorensteinReduce:
         (False, NOT_GUARANTEED), (True, CERTIFIED_ABSENT),
     ])
     def test_zero_power_certifies_nothing(self, closed, conclusion):
-        # h^0 = 1 for every holonomy, so k = 0 (a library-built value the
-        # parser refuses) must not turn the Camacho cycle into an existence.
+        # h^0 = 1 for every holonomy, so k = 0 says nothing about the
+        # foliation: no graph can carry it, so no certificate can turn the
+        # Camacho cycle's conclusion into an existence.
         g = dataclasses.replace(make_camacho_cycle()[0], closed_world=closed)
-        cert = verdict(with_gorenstein(g, 0, (0, 0, 0)))
+        cert = verdict(g)
         assert (cert.conclusion, cert.rule) == (
             conclusion, RULE_ABSENT if closed else RULE_NONE)
-        by_name = {h.name: h.status for h in cert.hypotheses}
-        key = "gorenstein_reduction.gorenstein_holonomy_power_trivial"
-        assert by_name[key] == "satisfied"
+        with pytest.raises(SchemaError) as exc:
+            with_gorenstein(g, 0, (0, 0, 0))
+        assert str(exc.value) == "gorenstein.k must be a positive integer"
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(3, 12), st.integers(1, 4),
