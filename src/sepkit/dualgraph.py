@@ -223,6 +223,13 @@ def _ends(c: Crossing, k: int, index: dict[str, int]) -> tuple[int, int]:
     the error for the first rule it breaks."""
     if c.kind not in CROSSING_KINDS:
         raise SchemaError(f"crossings[{k}]: unknown kind {c.kind!r}")
+    # A field of the other kind stands for a key the parser refuses.
+    if (c.weak is not None or c.cs_weak is not None if c.kind == NONDEGENERATE
+            else c.cs_tail is not None):
+        allowed = _CROSSING_KEYS[c.kind][1]
+        unknown = [name for name in ("cs_tail", "cs_weak", "weak")
+                   if name not in allowed and getattr(c, name) is not None]
+        raise SchemaError(f"crossings[{k}]: unknown keys {unknown}")
     tail = None
     try:
         tail = index[c.tail]
@@ -529,85 +536,77 @@ def validate_indices(g: DualGraph) -> list[Finding]:
     component the indices of all singular points on it must add up to the
     self-intersection number.  An unknown weak saddle-node index degrades
     that component's check to a warning carrying the implied value.
-    """
-    findings: list[Finding] = []
-    field = g.field
-    sums = _vertex_sums(field, [comp.id for comp in g.components], g.crossings)
 
-    if g.closed_world:
-        for comp in g.components:
-            if comp.smooth_singularities:
-                findings.append(Finding(
-                    "error", "closed-world-contradiction",
-                    f"closed_world is set but component {comp.id} declares "
-                    "smooth-point singularities",
-                    comp.id,
-                ))
+    One walk over the components; findings come rule by rule: closed world,
+    vertex sums, crossing indices, singularities, then component degrees.
+    """
+    sums = _vertex_sums(g.field, [comp.id for comp in g.components], g.crossings)
+    closed, vertex, at_crossings, at_singularities, degrees = [], [], [], [], []
+
+    def warn_non_reduced(out: list, value: FieldElement, label: str, cid: str):
+        if value.nums[0] > 0 and not any(value.nums[1:]):
+            out.append(Finding(
+                "warning", "non-reduced-index",
+                f"{label} has index {value}, a positive "
+                "rational; the singularity is not reduced",
+                cid,
+            ))
+
+    for i, c in enumerate(g.crossings):
+        if c.kind == NONDEGENERATE:
+            warn_non_reduced(at_crossings, c.cs_tail,
+                             f"crossing {i} ({c.tail}-{c.head})", c.tail)
 
     for comp in g.components:
-        total, unknown, _ = sums[comp.id]
+        if g.closed_world and comp.smooth_singularities:
+            closed.append(Finding(
+                "error", "closed-world-contradiction",
+                f"closed_world is set but component {comp.id} declares "
+                "smooth-point singularities",
+                comp.id,
+            ))
+        total, unknown, count = sums[comp.id]
         for sing in comp.smooth_singularities:
             if sing.cs is None:
                 unknown += 1
             else:
                 total = total + sing.cs
-        target = field.from_rational(comp.self_intersection)
-        if unknown:
-            implied = target - total
-            findings.append(Finding(
-                "warning", "vertex-sum-unverified",
-                f"{comp.id}: {unknown} unknown weak index(es); the known "
-                f"indices sum to {total}, so the unknown ones must add up "
-                f"to {implied}",
-                comp.id,
-            ))
-        elif total != target:
-            findings.append(Finding(
-                "error", "vertex-sum-mismatch",
-                f"{comp.id}: indices sum to {total}, but the "
-                f"self-intersection is {comp.self_intersection}",
-                comp.id,
-            ))
-
-    def warn_non_reduced(value: FieldElement, label: str, component_id: str):
-        if value.nums[0] > 0 and not any(value.nums[1:]):
-            findings.append(Finding(
-                "warning", "non-reduced-index",
-                f"{label} has index {value}, a positive "
-                "rational; the singularity is not reduced",
-                component_id,
-            ))
-
-    for i, crossing in enumerate(g.crossings):
-        if crossing.kind == NONDEGENERATE:
-            warn_non_reduced(
-                crossing.cs_tail,
-                f"crossing {i} ({crossing.tail}-{crossing.head})",
-                crossing.tail,
-            )
-    for comp in g.components:
-        for sing in comp.smooth_singularities:
             if sing.kind == NONDEGENERATE:
-                warn_non_reduced(sing.cs, f"singularity {sing.id}", comp.id)
+                warn_non_reduced(at_singularities, sing.cs,
+                                 f"singularity {sing.id}", comp.id)
             if sing.kind == SN_WEAK_ON_CURVE and not sing.has_transverse_separatrix:
-                findings.append(Finding(
+                at_singularities.append(Finding(
                     "warning", "missing-strong-separatrix",
                     f"singularity {sing.id} puts the weak separatrix on "
                     f"{comp.id} but declares no transverse separatrix; the "
                     "strong separatrix of a saddle-node always exists",
                     comp.id,
                 ))
-
-    for comp in g.components:
-        z = sums[comp.id][2] + len(comp.smooth_singularities)
-        findings.append(Finding(
+        target = g.field.from_rational(comp.self_intersection)
+        if unknown:
+            vertex.append(Finding(
+                "warning", "vertex-sum-unverified",
+                f"{comp.id}: {unknown} unknown weak index(es); the known "
+                f"indices sum to {total}, so the unknown ones must add up "
+                f"to {target - total}",
+                comp.id,
+            ))
+        elif total != target:
+            vertex.append(Finding(
+                "error", "vertex-sum-mismatch",
+                f"{comp.id}: indices sum to {total}, but the "
+                f"self-intersection is {comp.self_intersection}",
+                comp.id,
+            ))
+        z = count + len(comp.smooth_singularities)
+        degrees.append(Finding(
             "info", "component-degree",
             f"{comp.id}: {z} singular point(s); implied normal bundle "
             f"degree {comp.self_intersection + z}",
             comp.id,
         ))
 
-    return findings
+    return closed + vertex + at_crossings + at_singularities + degrees
 
 
 def has_errors(findings: Iterable[Finding]) -> bool:

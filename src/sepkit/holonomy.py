@@ -234,15 +234,13 @@ def _propagate_residues(g: DualGraph, rep: RepresentationClass) -> ResidualDivis
 
     basis = rep.basis
     residues: dict[str, FieldElement] = {basis.root: g.field.one()}
-    # The tail/head residue ratio is -cs_head, its inverse -cs_tail.
+    # In BFS order one end of each tree crossing is set; tail/head ratio is -cs_head.
     for idx in basis.tree:
         crossing = g.crossings[idx]
-        if crossing.tail in residues and crossing.head not in residues:
+        if crossing.tail in residues:
             residues[crossing.head] = -crossing.cs_tail * residues[crossing.tail]
-        elif crossing.head in residues and crossing.tail not in residues:
+        else:
             residues[crossing.tail] = -crossing.cs_head * residues[crossing.head]
-    # Tree edges are discovered in BFS order, so both cases above cover
-    # every edge exactly once; the loop cannot leave a component unset.
 
     for cycle in basis.cycles:
         idx = cycle[0].crossing

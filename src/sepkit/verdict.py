@@ -52,7 +52,7 @@ from .errors import (
     NotATree,
     ValidationFailed,
 )
-from .exactfield import FieldElement, _decimal, rational_span_dimension
+from .exactfield import FieldElement, _decimal, is_root_of_unity, rational_span_dimension
 from .holonomy import (
     INDETERMINATE,
     TORSION,
@@ -306,8 +306,8 @@ def check_gorenstein_holonomy_power_trivial(a: GraphAnalysis):
     if rep.offending_cycles:
         return False, _rep_evidence(rep)
     k = g.gorenstein.k
-    one = g.field.one()
-    bad = [i for i, h in enumerate(rep.holonomies) if h ** k != one]
+    orders = map(is_root_of_unity, rep.holonomies)  # h^k = 1: the order divides k
+    bad = [i for i, n in enumerate(orders) if n is None or k % n]
     if bad:
         return False, f"holonomy^{k} differs from 1 on cycle(s) {bad}"
     return True, f"every cycle holonomy raised to {k} equals 1"

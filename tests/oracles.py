@@ -329,6 +329,8 @@ def tail_side_holonomies(g: DualGraph) -> list:
 
 # ---------------------------------------------------------------------------
 # Relabelings: the same configuration in another input order or orientation
+# (crossings_head_first rewrites a document, since a DualGraph stores every
+# crossing tail first in component order)
 
 
 def shuffled_components(g: DualGraph, rng) -> DualGraph:
@@ -337,22 +339,20 @@ def shuffled_components(g: DualGraph, rng) -> DualGraph:
     return dataclasses.replace(g, components=tuple(order))
 
 
-def flipped_crossings(g: DualGraph, rng) -> DualGraph:
-    """Each crossing listed head first with probability 1/2, its
-    nondegenerate index given on the new tail side."""
-    out = []
-    for c in g.crossings:
-        if c.kind == NONDEGENERATE and rng.random() < 0.5:
-            out.append(Crossing(
-                c.head, c.tail, NONDEGENERATE, cs_tail=c.cs_tail.inverse()
-            ))
-        elif c.kind == SADDLE_NODE and rng.random() < 0.5:
-            out.append(Crossing(
-                c.head, c.tail, SADDLE_NODE, weak=c.weak, cs_weak=c.cs_weak
-            ))
-        else:
-            out.append(c)
-    return dataclasses.replace(g, crossings=tuple(out))
+def crossings_head_first(doc: dict) -> dict:
+    """A copy of the input document `doc` with every crossing written head
+    first.  A nondegenerate crossing then gives the index on its new tail
+    side: the reciprocal of the one given, inverted here by the extended
+    Euclidean algorithm and written as a literal."""
+    field = NumberField.from_json(doc["field"])
+    crossings = []
+    for c in doc["crossings"]:
+        c = dict(c, tail=c["head"], head=c["tail"])
+        if c["kind"] == NONDEGENERATE:
+            c["cs_tail"] = [str(x) for x in euclid_inverse(
+                field.parse_element(c["cs_tail"]))]
+        crossings.append(c)
+    return dict(doc, crossings=crossings)
 
 
 # ---------------------------------------------------------------------------

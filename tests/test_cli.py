@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,9 +27,11 @@ from sepkit.exactfield import NumberField
 from sepkit.fixtures import (
     _assemble,
     make_camacho_cycle,
+    make_p2_cycle,
     make_quadratic_chain,
     make_random_graph,
     make_random_tree,
+    make_torsion4,
 )
 from sepkit.report import analyze
 from sepkit.verdict import (
@@ -41,6 +44,8 @@ from sepkit.verdict import (
     toma_prune,
 )
 
+from oracles import crossings_head_first
+from test_dualgraph import EVERY_RULE_DOCUMENT, EVERY_RULE_FINDINGS
 from test_verdict import UNBALANCED_SADDLE_NODE
 
 QQ = NumberField((Fraction(0),))
@@ -210,6 +215,16 @@ class TestValidate:
         assert rc == 0
         assert "0 error(s)" in capsys.readouterr().out
 
+    def test_every_rule_in_order_as_text(self, tmp_path, capsys):
+        path = tmp_path / "every_rule.json"
+        path.write_text(json.dumps(EVERY_RULE_DOCUMENT), encoding="utf-8")
+        rc = run_cli(["validate", "--input", str(path), "--format", "text"])
+        assert rc == 1
+        lines = [f"{severity} {code} [{component}]: {message}"
+                 for severity, code, component, message in EVERY_RULE_FINDINGS]
+        lines.append("3 error(s), 9 other finding(s)")
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
     def test_stdin_default(self, capsys, monkeypatch):
         data = (serialize_graph(make_camacho_cycle()[0]) + "\n").encode()
         monkeypatch.setattr(
@@ -330,6 +345,26 @@ class TestVerdictCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_huge_gorenstein_power_decides_at_once(self, tmp_path, capsys):
+        # The power check reads each holonomy's order, so k = 10^12 costs
+        # no more than k = 2.
+        obj = json.loads(serialize_graph(make_camacho_cycle()[0]))
+        big = 10 ** 12
+        obj["gorenstein"] = {"k": big, "a": {c["id"]: big for c in obj["components"]}}
+        path = tmp_path / "huge_k.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        start = time.perf_counter()
+        rc = run_cli(["verdict", "--input", str(path)])
+        assert time.perf_counter() - start < 1
+        assert rc == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert (cert["conclusion"], cert["rule"]) == (CERTIFIED_ABSENT, RULE_ABSENT)
+        power = next(h for h in cert["hypotheses"] if h["name"]
+                     == "gorenstein_reduction.gorenstein_holonomy_power_trivial")
+        assert power["status"] == "failed"
+        assert power["evidence"] == (
+            "holonomy^1000000000000 differs from 1 on cycle(s) [0]")
+
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "cert.json"
         rc = run_cli(["verdict", "--input", camacho_path(tmp_path),
@@ -401,6 +436,66 @@ class TestAnalyze:
                       "--format", "text"])
         assert rc == 0
         assert capsys.readouterr().out
+
+
+FAMILIES = {
+    "random_graph": lambda seed: make_random_graph(
+        seed, 2 + seed % 9, seed % 4, 0.3 * (seed % 2)),
+    "quadratic_chain": lambda seed: make_quadratic_chain(seed, 2 + seed % 4),
+    "camacho": lambda seed: make_camacho_cycle()[0],
+    "torsion4": lambda seed: make_torsion4(),
+    "p2_cycle": lambda seed: make_p2_cycle(Fraction(1 + seed % 7, 3)),
+}
+
+
+@st.composite
+def valid_documents(draw):
+    """A valid document from one of the fixture families, with consistent
+    Gorenstein data (every a_i = k) half of the time."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    obj = json.loads(serialize_graph(FAMILIES[family](draw(st.integers(0, 10 ** 6)))))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 4))
+        obj["gorenstein"] = {"k": k, "a": {c["id"]: k for c in obj["components"]}}
+    return obj
+
+
+def run_to_file(root, command, doc, name):
+    """(exit code, output file text, stderr) of one run of `command` on `doc`."""
+    path, output = root / f"{name}.json", root / f"{name}.{command}"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    output.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = run_cli([command, "--input", str(path), "--output", str(output)])
+    return rc, output.read_text(encoding="utf-8"), err.getvalue()
+
+
+def without_digest(text):
+    """The lines of an analyze report, less its one input_digest line."""
+    lines = text.split("\n")
+    kept = [line for line in lines if not line.startswith('  "input_digest": ')]
+    assert len(kept) == len(lines) - 1
+    return kept
+
+
+class TestOrientationInvariance:
+    """A crossing written head first, with the reciprocal index as its
+    literal, is the same crossing: verdicts keep every byte and analyses
+    every byte but the input digest."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(obj=valid_documents())
+    def test_crossings_written_head_first(self, tmp_path_factory, obj):
+        root = tmp_path_factory.getbasetemp()
+        flipped = crossings_head_first(obj)
+        assert run_to_file(root, "verdict", flipped, "flipped") == run_to_file(
+            root, "verdict", obj, "given")
+        rc, text, err = run_to_file(root, "analyze", obj, "given")
+        rc_flipped, text_flipped, err_flipped = run_to_file(
+            root, "analyze", flipped, "flipped")
+        assert (rc_flipped, err_flipped) == (rc, err)
+        assert without_digest(text_flipped) == without_digest(text)
 
 
 def past_digit_limit_path(tmp_path):

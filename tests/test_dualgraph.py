@@ -45,7 +45,7 @@ from sepkit.fixtures import (
     make_torsion4,
 )
 
-from oracles import flipped_crossings, shuffled_components
+from oracles import shuffled_components
 
 Q_FIELD = {"min_poly": ["0"]}
 QQ = NumberField.from_json(Q_FIELD)
@@ -150,6 +150,12 @@ class TestParsing:
         assert calls == [g.crossings[1].cs_tail]  # stored as given: inverted once
         g.crossings[1].cs_head
         assert len(calls) == 1
+
+    def test_cs_on_a_component_off_the_crossing(self):
+        g = graph_from_obj(chain_obj())
+        with pytest.raises(UnknownId) as exc:
+            g.crossings[0].cs_on("E3", QQ)
+        assert str(exc.value) == "crossing E1-E2 does not touch E3"
 
     def test_disconnected_rejected(self):
         obj = chain_obj()
@@ -464,6 +470,34 @@ class TestHandBuiltGraphs:
                 2, (("E1", 1), ("E2", 2), ("E1", 1), ("E3", 3))))
         assert str(exc.value) == "gorenstein.a: duplicate id 'E1'"
 
+    @pytest.mark.parametrize("position, stray, unknown", [
+        (0, {"weak": "E1"}, "['weak']"),
+        (0, {"cs_weak": ["-1"]}, "['cs_weak']"),
+        (0, {"weak": "E2", "cs_weak": ["-1"]}, "['cs_weak', 'weak']"),
+        (1, {"cs_tail": ["-1"]}, "['cs_tail']"),
+    ], ids=["weak", "cs_weak", "weak_and_cs_weak", "saddle_node_cs_tail"])
+    def test_the_other_kinds_fields_are_refused(self, position, stray, unknown):
+        obj = chain_obj()
+        obj["crossings"][1] = sn("E2", "E3", weak="E3", cs_weak="-2")
+        g = graph_from_obj(obj)
+
+        def with_fields(**fields):
+            crossings = list(g.crossings)
+            crossings[position] = dataclasses.replace(crossings[position], **fields)
+            return dataclasses.replace(g, crossings=tuple(crossings))
+
+        with pytest.raises(SchemaError) as built:
+            with_fields(**{key: value if key == "weak" else QQ.parse_element(value)
+                           for key, value in stray.items()})
+        obj["crossings"][position].update(stray)
+        with pytest.raises(SchemaError) as parsed:
+            graph_from_obj(obj)
+        assert str(built.value) == str(parsed.value) == (
+            f"crossings[{position}]: unknown keys {unknown}")
+        # A field set to None is absent, so the graph round-trips.
+        absent = with_fields(**dict.fromkeys(stray))
+        assert absent == g and parse_graph(serialize_graph(absent)) == g
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_every_graph_round_trips(self, seed):
@@ -537,7 +571,63 @@ class TestSchemaFuzz:
             pass
 
 
+# A document that breaks or warns about every validation rule: the
+# closed-world flag, both kinds of vertex-sum finding, a non-reduced
+# crossing index, both kinds of singularity warning, and the degrees.
+EVERY_RULE_DOCUMENT = {
+    "field": Q_FIELD,
+    "closed_world": True,
+    "components": [
+        comp("E1", -1, [sing_obj("p1", NONDEGENERATE, "2"),
+                        sing_obj("p2", SN_WEAK_ON_CURVE, None, separatrix=False)]),
+        comp("E2", -3),
+        comp("E3", -2, [sing_obj("p3", NONDEGENERATE, "1/2")]),
+    ],
+    "crossings": [nondeg("E1", "E2", "1"), sn("E2", "E3", weak="E3")],
+}
+
+# (severity, code, component, message) of its findings, in order.
+EVERY_RULE_FINDINGS = [
+    ("error", "closed-world-contradiction", "E1",
+     "closed_world is set but component E1 declares smooth-point singularities"),
+    ("error", "closed-world-contradiction", "E3",
+     "closed_world is set but component E3 declares smooth-point singularities"),
+    ("warning", "vertex-sum-unverified", "E1",
+     "E1: 1 unknown weak index(es); the known indices sum to 3, so the "
+     "unknown ones must add up to -4"),
+    ("error", "vertex-sum-mismatch", "E2",
+     "E2: indices sum to 1, but the self-intersection is -3"),
+    ("warning", "vertex-sum-unverified", "E3",
+     "E3: 1 unknown weak index(es); the known indices sum to 1/2, so the "
+     "unknown ones must add up to -5/2"),
+    ("warning", "non-reduced-index", "E1",
+     "crossing 0 (E1-E2) has index 1, a positive rational; the singularity "
+     "is not reduced"),
+    ("warning", "non-reduced-index", "E1",
+     "singularity p1 has index 2, a positive rational; the singularity is "
+     "not reduced"),
+    ("warning", "missing-strong-separatrix", "E1",
+     "singularity p2 puts the weak separatrix on E1 but declares no "
+     "transverse separatrix; the strong separatrix of a saddle-node always "
+     "exists"),
+    ("warning", "non-reduced-index", "E3",
+     "singularity p3 has index 1/2, a positive rational; the singularity is "
+     "not reduced"),
+    ("info", "component-degree", "E1",
+     "E1: 3 singular point(s); implied normal bundle degree 2"),
+    ("info", "component-degree", "E2",
+     "E2: 2 singular point(s); implied normal bundle degree -1"),
+    ("info", "component-degree", "E3",
+     "E3: 2 singular point(s); implied normal bundle degree 0"),
+]
+
+
 class TestValidation:
+    def test_every_rule_in_order(self):
+        findings = validate_indices(graph_from_obj(EVERY_RULE_DOCUMENT))
+        assert [(f.severity, f.code, f.component, f.message)
+                for f in findings] == EVERY_RULE_FINDINGS
+
     def test_clean_chain_has_only_info(self):
         obj = chain_obj()
         obj["components"][0]["self_intersection"] = -1
@@ -721,8 +811,8 @@ def reachable_by_scan(g, crossings):
 
 
 def relabelings(seed):
-    """A random graph, and the same graph with its components and crossings
-    reordered and some crossings listed head first."""
+    """A random graph, and the same graph with its components reordered, and
+    with its components and crossings reordered."""
     rng = random.Random(seed)
     g = make_random_graph(seed, n=2 + seed % 12, extra_crossings=seed % 5,
                           saddle_node_probability=0.3)
@@ -730,7 +820,7 @@ def relabelings(seed):
     rng.shuffle(crossings)
     moved = dataclasses.replace(g, crossings=tuple(crossings))
     return [g, shuffled_components(g, rng),
-            flipped_crossings(shuffled_components(moved, rng), rng)]
+            shuffled_components(moved, rng)]
 
 
 class TestIncidence:

@@ -44,7 +44,6 @@ from sepkit.intersection import divisor_pairing
 
 from oracles import (
     cusp_cycle,
-    flipped_crossings,
     shuffled_components,
     tail_side_holonomies,
     tail_side_weight,
@@ -372,15 +371,6 @@ class TestRepresentationInvariance:
             base = representation_class(g)
             moved = representation_class(
                 shuffled_components(g, random.Random(seed))
-            )
-            assert (moved.kind, moved.order) == (base.kind, base.order), seed
-
-    def test_orientation_flips(self):
-        for seed in range(500):
-            g = representation_example(seed)
-            base = representation_class(g)
-            moved = representation_class(
-                flipped_crossings(g, random.Random(seed))
             )
             assert (moved.kind, moved.order) == (base.kind, base.order), seed
 

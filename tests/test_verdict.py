@@ -60,7 +60,6 @@ from sepkit.verdict import (
 )
 
 from oracles import (
-    flipped_crossings,
     prune_oracle,
     shuffled_components,
     span_dimension_oracle,
@@ -619,12 +618,11 @@ def invariance_pool(seed):
 
 
 class TestVerdictInvariance:
-    def test_relabel_and_flip_300_trials(self):
+    def test_relabel_300_trials(self):
         for seed in range(300):
             g = invariance_pool(seed)
             base = verdict(g)
-            rng = random.Random(seed)
-            mutated = flipped_crossings(shuffled_components(g, rng), rng)
+            mutated = shuffled_components(g, random.Random(seed))
             cert = verdict(mutated)
             assert cert.conclusion == base.conclusion, seed
             assert cert.rule == base.rule, seed
