@@ -23,6 +23,7 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .errors import (
+    BadFieldElement,
     Disconnected,
     DisconnectedSelection,
     EmptySelection,
@@ -149,7 +150,7 @@ class DualGraph:
     closed_world: bool = False
 
     def __post_init__(self):
-        components, crossings = self.components, self.crossings
+        field, components, crossings = self.field, self.components, self.crossings
         if not components:
             raise SchemaError("a dual graph needs at least one component")
         index: dict[str, int] = {}
@@ -161,7 +162,7 @@ class DualGraph:
             for j, sing in enumerate(comp.smooth_singularities):
                 fault = (f"duplicate id {sing.id!r}"
                          if sing.id in index or sing.id in singularity_ids
-                         else _singularity_fault(sing))
+                         else _singularity_fault(sing, field))
                 if fault:
                     raise SchemaError(
                         f"components[{p}].smooth_singularities[{j}]: {fault}")
@@ -169,7 +170,7 @@ class DualGraph:
         incidence: list[list[tuple[int, int]]] = [[] for _ in components]
         stored = []  # tail first in component order
         for k, c in enumerate(crossings):
-            tail, head = _ends(c, k, index)
+            tail, head = _ends(c, k, index, field)
             if tail > head:
                 c, tail, head = _flipped(c), head, tail
             stored.append(c)
@@ -205,10 +206,13 @@ class DualGraph:
         return any(c.kind == SADDLE_NODE for c in self.crossings)
 
 
-def _singularity_fault(s: SmoothSingularity) -> str | None:
+def _singularity_fault(s: SmoothSingularity, field: NumberField) -> str | None:
     """What is wrong with the kind, index or separatrix of `s`, if anything."""
     if s.kind not in SMOOTH_KINDS:
         return f"unknown kind {s.kind!r}"
+    if s.cs is not None and (type(s.cs) is not FieldElement
+                             or s.cs.field is not field and s.cs.field != field):
+        return "cs must be an element of the graph's field"
     if s.kind == NONDEGENERATE and (s.cs is None or not any(s.cs.nums)):
         return "a nondegenerate singularity needs a nonzero cs"
     if s.kind == SN_STRONG_ON_CURVE and (s.cs is None or any(s.cs.nums)):
@@ -218,7 +222,8 @@ def _singularity_fault(s: SmoothSingularity) -> str | None:
     return None
 
 
-def _ends(c: Crossing, k: int, index: dict[str, int]) -> tuple[int, int]:
+def _ends(c: Crossing, k: int, index: dict[str, int],
+          field: NumberField) -> tuple[int, int]:
     """The input positions of the tail and head of crossings[k] = `c`, or
     the error for the first rule it breaks."""
     if c.kind not in CROSSING_KINDS:
@@ -230,6 +235,12 @@ def _ends(c: Crossing, k: int, index: dict[str, int]) -> tuple[int, int]:
         unknown = [name for name in ("cs_tail", "cs_weak", "weak")
                    if name not in allowed and getattr(c, name) is not None]
         raise SchemaError(f"crossings[{k}]: unknown keys {unknown}")
+    value = c.cs_tail if c.kind == NONDEGENERATE else c.cs_weak
+    if value is not None and (type(value) is not FieldElement
+                              or value.field is not field and value.field != field):
+        name = "cs_tail" if c.kind == NONDEGENERATE else "cs_weak"
+        raise SchemaError(f"crossings[{k}]: {name} must be an element of the "
+                          "graph's field")
     tail = None
     try:
         tail = index[c.tail]
@@ -242,7 +253,7 @@ def _ends(c: Crossing, k: int, index: dict[str, int]) -> tuple[int, int]:
                        "self-crossings are not representable here, blow up the "
                        "crossing point first and re-enter the resulting configuration")
     if c.kind == NONDEGENERATE:
-        if c.cs_tail is None or not any(c.cs_tail.nums):
+        if value is None or not any(value.nums):
             raise SchemaError(
                 f"crossings[{k}]: a nondegenerate crossing needs a nonzero cs_tail")
     elif c.weak != c.tail and c.weak != c.head:
@@ -397,7 +408,10 @@ def _id(value, where: str) -> str:
 def _parse_smooth_singularity(raw, field: NumberField, where: str) -> SmoothSingularity:
     obj = _object(raw, where, _SINGULARITY_KEYS)
     sid, kind = _id(obj["id"], where), obj["kind"]
-    cs = None if obj["cs"] is None else field.parse_element(obj["cs"])
+    try:
+        cs = None if obj["cs"] is None else field.parse_element(obj["cs"])
+    except BadFieldElement as exc:
+        raise BadFieldElement(f"{where}.cs: {exc}") from None
     if cs is None and kind == SN_STRONG_ON_CURVE:
         cs = field.zero()  # the strong side's index, when none is given
     # On the weak side cs may stay None: the index is unknown.
@@ -414,12 +428,16 @@ def _parse_crossing(raw, field: NumberField, where: str) -> Crossing:
             raise SchemaError(f"{where}: missing keys ['kind']")
         return Crossing(obj.get("tail"), obj.get("head"), kind)
     _object(obj, where, _CROSSING_KEYS[kind])
-    if kind == NONDEGENERATE:
-        return Crossing(obj["tail"], obj["head"], kind,
-                        cs_tail=field.parse_element(obj["cs_tail"]))
-    cs_weak = obj.get("cs_weak")
-    return Crossing(obj["tail"], obj["head"], kind, weak=obj["weak"],
-                    cs_weak=None if cs_weak is None else field.parse_element(cs_weak))
+    try:
+        if kind == NONDEGENERATE:
+            return Crossing(obj["tail"], obj["head"], kind,
+                            cs_tail=field.parse_element(obj["cs_tail"]))
+        cs_weak = obj.get("cs_weak")
+        return Crossing(obj["tail"], obj["head"], kind, weak=obj["weak"],
+                        cs_weak=None if cs_weak is None else field.parse_element(cs_weak))
+    except BadFieldElement as exc:  # only the index literal can raise it
+        name = "cs_tail" if kind == NONDEGENERATE else "cs_weak"
+        raise BadFieldElement(f"{where}.{name}: {exc}") from None
 
 
 def graph_from_obj(obj) -> DualGraph:

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 __all__ = [
     "BadParams", "Disconnected", "DisconnectedSelection", "DivisionByZero",
-    "EmptySelection", "FieldMismatch", "GorensteinInconsistent",
-    "HypothesisUnmet", "InvalidNumberField", "NontrivialRepresentation",
-    "NotATree", "SaddleNodePresent", "SchemaError", "SelfLoop", "SepkitError",
-    "UnknownId", "ValidationFailed", "ZeroElement",
+    "EmptySelection", "FieldMismatch", "HypothesisUnmet", "InvalidNumberField",
+    "NontrivialRepresentation", "NotATree", "SaddleNodePresent", "SchemaError",
+    "SelfLoop", "SepkitError", "UnknownId", "ValidationFailed", "ZeroElement",
 ]
 
 
@@ -82,10 +81,6 @@ class HypothesisUnmet(SepkitError):
         self.hypothesis = hypothesis
         message = hypothesis if not detail else f"{hypothesis}: {detail}"
         super().__init__(message)
-
-
-class GorensteinInconsistent(SepkitError):
-    """Supplied normal-sheaf data contradicts the intersection matrix."""
 
 
 class ValidationFailed(SepkitError):

@@ -293,7 +293,12 @@ class NumberField:
         raw = obj["min_poly"]
         if not isinstance(raw, list) or not raw:
             raise InvalidNumberField("min_poly must be a non-empty array")
-        coeffs = tuple(parse_rational(v) for v in raw)
+        coeffs = []
+        for i, value in enumerate(raw):
+            try:
+                coeffs.append(parse_rational(value))
+            except BadFieldElement as exc:
+                raise BadFieldElement(f"field.min_poly[{i}]: {exc}") from None
         degree = obj.get("degree", len(coeffs))
         if type(degree) is not int:
             raise InvalidNumberField(f"degree must be an integer, got {degree!r}")

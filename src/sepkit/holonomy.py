@@ -118,12 +118,16 @@ class RepresentationClass:
     order is the torsion order (lcm of the holonomy orders) when kind is
     "torsion".  holonomies aligns with basis.cycles and holds None for
     cycles through a saddle-node; those cycle positions are listed in
-    offending_cycles and force kind "indeterminate".
+    offending_cycles and force kind "indeterminate".  orders aligns with
+    holonomies and holds each one's multiplicative order, None when it is
+    infinite; it is empty when kind is "indeterminate" and is not part of
+    the JSON.
     """
 
     kind: str
     order: int | None
     holonomies: tuple[FieldElement | None, ...]
+    orders: tuple[int | None, ...]
     basis: CycleBasis
     offending_cycles: tuple[int, ...]
 
@@ -165,20 +169,19 @@ def representation_class(g: DualGraph) -> RepresentationClass:
         if h is None:
             offending.append(pos)
 
+    orders = () if offending else tuple(map(is_root_of_unity, holonomies))
     order = None
     if offending:
         kind = INDETERMINATE
+    elif None in orders:
+        kind = INFINITE
+    elif lcm(*orders) == 1:
+        kind = TRIVIAL
     else:
-        orders = [is_root_of_unity(h) for h in holonomies]
-        if None in orders:
-            kind = INFINITE
-        elif lcm(*orders) == 1:
-            kind = TRIVIAL
-        else:
-            kind, order = TORSION, lcm(*orders)
+        kind, order = TORSION, lcm(*orders)
 
     return RepresentationClass(
-        kind, order, tuple(holonomies), basis, tuple(offending)
+        kind, order, tuple(holonomies), orders, basis, tuple(offending)
     )
 
 

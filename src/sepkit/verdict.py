@@ -46,13 +46,8 @@ from .dualgraph import (
     induced_subcurve,
     validate_indices,
 )
-from .errors import (
-    GorensteinInconsistent,
-    HypothesisUnmet,
-    NotATree,
-    ValidationFailed,
-)
-from .exactfield import FieldElement, _decimal, is_root_of_unity, rational_span_dimension
+from .errors import HypothesisUnmet, NotATree, ValidationFailed
+from .exactfield import FieldElement, _decimal, rational_span_dimension
 from .holonomy import (
     INDETERMINATE,
     TORSION,
@@ -65,10 +60,9 @@ from .intersection import definiteness, divisor_pairing, intersection_matrix
 
 __all__ = [
     "CERTIFIED_ABSENT", "INCONSISTENT_INPUT", "NOT_GUARANTEED",
-    "SEPARATRIX_EXISTS", "Certificate", "GorensteinReduction", "Hypothesis",
-    "SeparatrixBound", "certificate_for", "gorenstein_reduce", "run_check",
-    "run_subcurve_check", "separatrix_bound", "subcurve_criterion",
-    "toma_prune", "verdict",
+    "SEPARATRIX_EXISTS", "Certificate", "Hypothesis", "SeparatrixBound",
+    "certificate_for", "run_check", "run_subcurve_check", "separatrix_bound",
+    "subcurve_criterion", "toma_prune", "verdict",
 ]
 
 SEPARATRIX_EXISTS = "separatrix_exists"
@@ -306,8 +300,8 @@ def check_gorenstein_holonomy_power_trivial(a: GraphAnalysis):
     if rep.offending_cycles:
         return False, _rep_evidence(rep)
     k = g.gorenstein.k
-    orders = map(is_root_of_unity, rep.holonomies)  # h^k = 1: the order divides k
-    bad = [i for i, n in enumerate(orders) if n is None or k % n]
+    # h^k = 1 iff the order of h is finite and divides k
+    bad = [i for i, n in enumerate(rep.orders) if n is None or k % n]
     if bad:
         return False, f"holonomy^{k} differs from 1 on cycle(s) {bad}"
     return True, f"every cycle holonomy raised to {k} equals 1"
@@ -433,51 +427,6 @@ def separatrix_bound(g: DualGraph) -> SeparatrixBound:
     consistent input.
     """
     return GraphAnalysis(g).count_bound
-
-
-# ---------------------------------------------------------------------------
-# Gorenstein reduction
-
-
-@dataclass(frozen=True)
-class GorensteinReduction:
-    """Outcome of reducing declared power-trivialization data.
-
-    Orthogonality of sum((a_i - k) E_i) against every component is forced;
-    over a negative definite matrix it pins a_i = k, recorded in forced_a.
-    holonomy_power_trivial reports whether every cycle holonomy to the
-    k-th power is 1, the consistency the declared data implies.
-    """
-
-    k: int
-    forced_a: int
-    holonomy_power_trivial: bool
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "forced_a": self.forced_a,
-            "holonomy_power_check": self.holonomy_power_trivial,
-        }
-
-
-def gorenstein_reduce(g: DualGraph) -> GorensteinReduction:
-    a = GraphAnalysis(g)
-    _require(a, "gorenstein_data_present", "no_saddle_node",
-             "matrix_negative_definite")
-    ok, evidence = check_gorenstein_divisor_orthogonal(a)
-    if not ok:
-        raise GorensteinInconsistent(
-            f"the declared coefficients are impossible: {evidence}"
-        )
-    k = g.gorenstein.k
-    if any(value != k for _, value in g.gorenstein.a):
-        # Orthogonality over a negative definite matrix already forces
-        # a_i = k, so reaching this line means the pairing lied.
-        raise RuntimeError("internal error: divisor orthogonal to a negative "
-                           "definite lattice but not zero")
-    ok, _ = check_gorenstein_holonomy_power_trivial(a)
-    return GorensteinReduction(k, k, ok)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from sepkit.dualgraph import (
     serialize_graph,
     validate_indices,
 )
-from sepkit.errors import GorensteinInconsistent
 from sepkit.exactfield import is_root_of_unity
 from sepkit.fixtures import (
     camacho_constraint,
@@ -48,11 +47,13 @@ from sepkit.intersection import (
 from sepkit.report import analyze
 from sepkit.verdict import (
     CERTIFIED_ABSENT,
+    INCONSISTENT_INPUT,
     RULE_ABSENT,
+    RULE_GORENSTEIN,
     RULE_TORSION,
     RULE_TREE,
     SEPARATRIX_EXISTS,
-    gorenstein_reduce,
+    run_check,
     separatrix_bound,
     toma_prune,
     verdict,
@@ -65,7 +66,7 @@ from oracles import (
     tail_side_holonomies,
 )
 
-from test_verdict import with_gorenstein
+from test_verdict import ORTHOGONAL, entry, with_gorenstein
 
 
 @pytest.fixture
@@ -204,12 +205,20 @@ class TestAcceptance:
 
     def test_07_power_trivialization_reduction(self, checklist):
         with checklist(7, "power data reduction and kernel freeness"):
+            # Orthogonality forces a_i = k: the certificate records it as a
+            # consequence, and run_check re-decides it from the graph alone.
             base = make_camacho_cycle((-2, -2, -3))[0]
-            good = gorenstein_reduce(with_gorenstein(base, 2, (2, 2, 2)))
-            assert good.k == 2 and good.forced_a == 2
+            good = with_gorenstein(base, 2, (2, 2, 2))
+            assert run_check(good, "gorenstein_divisor_orthogonal")[0]
+            assert entry(verdict(good), ORTHOGONAL)[0] == "satisfied"
 
-            with pytest.raises(GorensteinInconsistent, match=r"D\.E1 = 2"):
-                gorenstein_reduce(with_gorenstein(base, 2, (1, 2, 2)))
+            bad = with_gorenstein(base, 2, (1, 2, 2))
+            ok, evidence = run_check(bad, "gorenstein_divisor_orthogonal")
+            assert not ok and "D.E1 = 2" in evidence
+            cert = verdict(bad)
+            assert (cert.conclusion, cert.rule) == (INCONSISTENT_INPUT,
+                                                    RULE_GORENSTEIN)
+            assert entry(cert, ORTHOGONAL) == ("failed", evidence)
 
             confirmed = 0
             for seed in range(100):

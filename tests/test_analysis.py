@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from sepkit import dualgraph, holonomy, intersection
+from sepkit import dualgraph, exactfield, holonomy, intersection
 from sepkit.dualgraph import (
     NONDEGENERATE,
     GorensteinData,
@@ -44,8 +44,9 @@ COUNTED = {
 ALWAYS = ("definiteness", "intersection_matrix", "cycle_basis", "representation_class")
 
 
-@pytest.fixture
-def calls(monkeypatch):
+def _count_calls(monkeypatch, functions):
+    """Wrap each function of `functions` (name -> function) wherever a sepkit
+    module refers to it; the counts by name."""
     counts = Counter()
 
     def counting(name, fn):
@@ -54,13 +55,18 @@ def calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    wrappers = {fn: counting(name, fn) for name, fn in COUNTED.items()}
+    wrappers = {fn: counting(name, fn) for name, fn in functions.items()}
     for module_name, module in list(sys.modules.items()):
         if module_name == "sepkit" or module_name.startswith("sepkit."):
             for attr, value in list(vars(module).items()):
                 if inspect.isfunction(value) and value in wrappers:
                     monkeypatch.setattr(module, attr, wrappers[value])
     return counts
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    return _count_calls(monkeypatch, COUNTED)
 
 
 def _cyclic_graphs():
@@ -132,6 +138,16 @@ def test_run_check_recomputes_on_every_call(calls):
     run_check(g, "representation_infinite")
     run_check(g, "representation_infinite")
     assert calls["representation_class"] == 2
+
+
+def test_power_check_reads_the_orders_of_the_representation(monkeypatch):
+    counts = _count_calls(monkeypatch, {"order": exactfield.is_root_of_unity})
+    g = GRAPHS["camacho_gorenstein"]  # k = a_i = 2
+    cert = verdict(g)
+    checked = [h.status for h in cert.hypotheses
+               if h.name == "gorenstein_reduction.gorenstein_holonomy_power_trivial"]
+    assert checked == ["failed"]
+    assert counts["order"] == g.cycle_rank == 1
 
 
 def test_run_subcurve_check_recomputes_on_every_call(calls):

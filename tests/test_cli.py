@@ -243,7 +243,8 @@ class TestValidate:
     @pytest.mark.parametrize("kind, message", [
         ("non_utf8", "error: invalid JSON: 'utf-8' codec can't decode"),
         ("long_number", "error: invalid JSON: Exceeds the limit"),
-        ("long_rational", "error: rational literal too long: 5000 characters"),
+        ("long_rational",
+         "error: crossings[0].cs_tail: rational literal too long: 5000 characters"),
         ("deep_nesting", "error: invalid JSON: maximum recursion depth exceeded"),
     ], ids=["non_utf8", "long_number", "long_rational", "deep_nesting"])
     def test_input_past_decoder_limits(self, tmp_path, capsys, kind, message):
@@ -271,16 +272,34 @@ class TestValidate:
         ("gorenstein", ["k", "a"]),
         ("smooth_singularities", None), ("smooth_singularities", 5),
         ("smooth_singularities", True), ("smooth_singularities", {}),
+        ("cs_tail", "1"), ("cs_weak", "1"), ("cs", "1"), ("min_poly", [["0"]]),
     ])
     def test_wrong_shape_is_one_error_line(self, tmp_path, capsys, key, value):
         obj = json.loads(serialize_graph(make_camacho_cycle()[0]))
+        crossing = obj["crossings"][0]
+        not_an_array = "field element must be an array, got '1'\n"
         if key == "gorenstein":
             obj["gorenstein"] = value
             message = "error: gorenstein must be an object\n"
-        else:
+        elif key == "smooth_singularities":
             obj["components"][0]["smooth_singularities"] = value
             message = ("error: components[0].smooth_singularities must be "
                        "an array\n")
+        elif key == "cs_tail":
+            crossing["cs_tail"] = value
+            message = "error: crossings[0].cs_tail: " + not_an_array
+        elif key == "cs_weak":
+            del crossing["cs_tail"]
+            crossing.update(kind="saddle_node", weak=crossing["tail"], cs_weak=value)
+            message = "error: crossings[0].cs_weak: " + not_an_array
+        elif key == "cs":
+            obj["components"][0]["smooth_singularities"] = [
+                {"id": "s", "kind": "nondegenerate", "cs": value}]
+            message = ("error: components[0].smooth_singularities[0].cs: "
+                       + not_an_array)
+        else:
+            obj["field"] = {"min_poly": value}
+            message = "error: field.min_poly[0]: not a rational: ['0']\n"
         path = tmp_path / "input.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
         assert run_cli(["validate", "--input", str(path)]) == 1

@@ -498,6 +498,32 @@ class TestHandBuiltGraphs:
         absent = with_fields(**dict.fromkeys(stray))
         assert absent == g and parse_graph(serialize_graph(absent)) == g
 
+    @pytest.mark.parametrize("value", [
+        Fraction(1, 2), 1, "1/2", QQ.from_rational(Fraction(1, 2)),
+    ], ids=["fraction", "int", "str", "element_of_Q"])
+    @pytest.mark.parametrize("position", ["cs_tail", "cs_weak", "cs"])
+    def test_index_outside_the_graph_field(self, position, value):
+        g = make_camacho_cycle()[0]  # over a quadratic field
+        assert g.field.degree == 2
+        c = g.crossings[0]
+        if position == "cs":
+            where = "components[0].smooth_singularities[0]"
+            e1 = dataclasses.replace(g.components[0], smooth_singularities=(
+                SmoothSingularity("s", NONDEGENERATE, value, True),))
+            build = lambda: dataclasses.replace(
+                g, components=(e1,) + g.components[1:])
+        else:
+            where = "crossings[0]"
+            bad = (dataclasses.replace(c, cs_tail=value) if position == "cs_tail"
+                   else Crossing(c.tail, c.head, SADDLE_NODE, weak=c.tail,
+                                 cs_weak=value))
+            build = lambda: dataclasses.replace(
+                g, crossings=(bad,) + g.crossings[1:])
+        with pytest.raises(SchemaError) as exc:
+            build()
+        assert str(exc.value) == (
+            f"{where}: {position} must be an element of the graph's field")
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_every_graph_round_trips(self, seed):

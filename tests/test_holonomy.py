@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -47,7 +48,9 @@ from oracles import (
     shuffled_components,
     tail_side_holonomies,
     tail_side_weight,
+    unity_order_oracle,
 )
+from test_exactfield import KERNEL_FIELDS, elements
 
 QQ = NumberField((Fraction(0),))
 
@@ -244,6 +247,49 @@ class TestClassification:
         steps = obj["holonomies"][0]["cycle"]
         assert steps[0] == {"crossing": 1, "forward": True}
         assert obj["offending_cycles"] == []
+        assert "orders" not in obj
+
+
+def parallel_crossings(field, values):
+    """E1 and E2 meeting once per index in `values`: one cycle per extra
+    crossing, with holonomy values[0] / values[i]."""
+    return DualGraph(field, (Component("E1", -2), Component("E2", -2)), tuple(
+        Crossing("E1", "E2", NONDEGENERATE, cs_tail=v) for v in values))
+
+
+@st.composite
+def kernel_field_graphs(draw):
+    field = KERNEL_FIELDS[draw(st.sampled_from(sorted(KERNEL_FIELDS)))]
+    powers = st.builds(lambda k, sign: sign * field.alpha() ** k,
+                       st.integers(0, 8), st.sampled_from([1, -1]))
+    # powers of the generator, drawn twice as often, make torsion likely
+    index = st.one_of(elements(field), powers, powers).filter(lambda e: not e.is_zero)
+    return parallel_crossings(field, draw(st.lists(index, min_size=2, max_size=4)))
+
+
+ORDER_GRAPHS = st.one_of(
+    kernel_field_graphs(),
+    st.builds(make_random_graph, st.integers(0, 10 ** 6), st.integers(2, 9),
+              st.integers(1, 3), st.sampled_from([0.0, 0.3])),
+    st.sampled_from([make_torsion4(), make_camacho_cycle()[0]]),
+)
+
+
+class TestOrders:
+    @settings(max_examples=80, deadline=None)
+    @given(ORDER_GRAPHS)
+    def test_orders_decide_kind_and_order(self, g):
+        rep = representation_class(g)
+        if rep.offending_cycles:
+            assert (rep.kind, rep.order, rep.orders) == (INDETERMINATE, None, ())
+            return
+        assert rep.orders == tuple(unity_order_oracle(h) for h in rep.holonomies)
+        if None in rep.orders:
+            assert (rep.kind, rep.order) == (INFINITE, None)
+        elif lcm(*rep.orders) == 1:
+            assert (rep.kind, rep.order) == (TRIVIAL, None)
+        else:
+            assert (rep.kind, rep.order) == (TORSION, lcm(*rep.orders))
 
 
 def assert_tail_side_inverts(g):

@@ -44,3 +44,11 @@ def test_the_side_convention_is_not_public():
         assert name not in sepkit.__all__
         assert not hasattr(sepkit, name)
         assert not hasattr(holonomy, name)
+
+
+def test_the_second_rule_4_path_is_gone():
+    # Rule 4 is decided by the chain alone; its checks re-run through run_check.
+    for name in ("gorenstein_reduce", "GorensteinReduction",
+                 "GorensteinInconsistent"):
+        assert name not in sepkit.__all__
+        assert not hasattr(sepkit, name)

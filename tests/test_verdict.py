@@ -21,7 +21,6 @@ from sepkit.dualgraph import (
 )
 from sepkit.errors import (
     Disconnected,
-    GorensteinInconsistent,
     HypothesisUnmet,
     NotATree,
     SchemaError,
@@ -50,7 +49,6 @@ from sepkit.verdict import (
     RULE_TRIVIAL,
     SEPARATRIX_EXISTS,
     certificate_for,
-    gorenstein_reduce,
     run_check,
     run_subcurve_check,
     separatrix_bound,
@@ -231,7 +229,8 @@ class TestChecks:
         g, _ = make_camacho_cycle()
         assert g.closed_world
         e1 = dataclasses.replace(g.components[0], smooth_singularities=(
-            SmoothSingularity("s", NONDEGENERATE, q(-1), True),))
+            SmoothSingularity("s", NONDEGENERATE, g.field.from_rational(-1),
+                              True),))
         g = dataclasses.replace(g, components=(e1,) + g.components[1:])
         assert run_check(g, "closed_world_declared") == (
             False, "closed_world is set but 1 smooth-point singularity(ies) "
@@ -431,44 +430,74 @@ class TestSeparatrixBound:
         assert exc.value.hypothesis == "no_weak_separatrix_on_curve"
 
 
+def entry(cert, name):
+    """(status, evidence) of the trail entry `name`, or None when absent."""
+    found = [(h.status, h.evidence) for h in cert.hypotheses if h.name == name]
+    assert len(found) <= 1, name
+    return found[0] if found else None
+
+
+POWER_CHECK = "gorenstein_reduction.gorenstein_holonomy_power_trivial"
+ORTHOGONAL = "consequence.gorenstein_divisor_orthogonal"
+
+
 class TestGorensteinReduce:
+    """Rule 4 through the chain: its trail entries, and the same checks
+    re-run by name."""
+
     def test_torsion4_power_four_passes(self):
         g = with_gorenstein(make_torsion4(), 4, (4, 4, 4))
-        red = gorenstein_reduce(g)
-        assert (red.k, red.forced_a, red.holonomy_power_trivial) == (4, 4, True)
-        assert red.to_json() == {
-            "k": 4, "forced_a": 4, "holonomy_power_check": True,
-        }
+        # a_i = k is what orthogonality forces on a negative definite lattice
+        assert run_check(g, "gorenstein_divisor_orthogonal") == (
+            True, "the divisor sum((a_i - k) E_i) pairs to 0 with every component")
+        assert run_check(g, "gorenstein_holonomy_power_trivial") == (
+            True, "every cycle holonomy raised to 4 equals 1")
+        # h^k = 1 exactly when the order 4 divides k
+        for k, evidence in ((8, "every cycle holonomy raised to 8 equals 1"),
+                            (2, "holonomy^2 differs from 1 on cycle(s) [0]")):
+            g = with_gorenstein(make_torsion4(), k, (k, k, k))
+            assert run_check(g, "gorenstein_holonomy_power_trivial") == (
+                k == 8, evidence)
 
     def test_camacho_power_check_fails_but_reduces(self):
         g = with_gorenstein(make_camacho_cycle()[0], 2, (2, 2, 2))
-        red = gorenstein_reduce(g)
-        assert red.holonomy_power_trivial is False
+        evidence = "holonomy^2 differs from 1 on cycle(s) [0]"
+        assert run_check(g, "gorenstein_holonomy_power_trivial") == (False, evidence)
         # the verdict then falls through to the closed-world absence rule
         cert = verdict(g)
-        assert cert.conclusion == CERTIFIED_ABSENT
-        by_name = {h.name: h.status for h in cert.hypotheses}
-        key = "gorenstein_reduction.gorenstein_holonomy_power_trivial"
-        assert by_name[key] == "failed"
+        assert (cert.conclusion, cert.rule) == (CERTIFIED_ABSENT, RULE_ABSENT)
+        assert entry(cert, ORTHOGONAL)[0] == "satisfied"
+        assert entry(cert, POWER_CHECK) == ("failed", evidence)
 
     def test_inconsistent_coefficients_rejected(self):
         g = with_gorenstein(make_camacho_cycle()[0], 2, (1, 2, 2))
-        with pytest.raises(GorensteinInconsistent, match=r"D\.E1 = 2"):
-            gorenstein_reduce(g)
+        ok, evidence = run_check(g, "gorenstein_divisor_orthogonal")
+        assert not ok and "D.E1 = 2" in evidence
+        cert = verdict(g)
+        assert (cert.conclusion, cert.rule) == (INCONSISTENT_INPUT, RULE_GORENSTEIN)
+        assert entry(cert, ORTHOGONAL) == ("failed", evidence)
+        assert entry(cert, POWER_CHECK)[0] == "skipped"
+        assert cert.witnesses["nonzero_pairings"]["E1"] == ["2", "0"]
 
     def test_gates(self):
-        with pytest.raises(HypothesisUnmet) as exc:
-            gorenstein_reduce(make_torsion4())
-        assert exc.value.hypothesis == "gorenstein_data_present"
-
         sn_tree = make_random_tree(1, n=5, saddle_node_probability=1.0)
-        with pytest.raises(HypothesisUnmet) as exc:
-            gorenstein_reduce(with_gorenstein(sn_tree, 2, (2,) * 5))
-        assert exc.value.hypothesis == "no_saddle_node"
-
-        with pytest.raises(HypothesisUnmet) as exc:
-            gorenstein_reduce(with_gorenstein(make_p2_cycle(2), 2, (2, 2, 2)))
-        assert exc.value.hypothesis == "matrix_negative_definite"
+        sn_cycle = make_random_graph(1, 5, 1, 1.0)
+        for gate, g, in_chain in [
+            ("gorenstein_data_present", make_torsion4(), False),
+            ("gorenstein_data_present", make_camacho_cycle()[0], True),
+            ("no_saddle_node", with_gorenstein(sn_tree, 2, (2,) * 5), False),
+            ("no_saddle_node", with_gorenstein(sn_cycle, 2, (2,) * 5), True),
+            ("matrix_negative_definite",
+             with_gorenstein(make_p2_cycle(2), 2, (2, 2, 2)), True),
+        ]:
+            ok, evidence = run_check(g, gate)
+            assert not ok, gate
+            # an earlier rule concludes on the torsion graph and on the tree
+            cert = certificate_for(g)
+            expected = ("failed", evidence) if in_chain else None
+            assert entry(cert, f"{RULE_GORENSTEIN}.{gate}") == expected, gate
+            assert entry(cert, ORTHOGONAL) is None
+            assert entry(cert, POWER_CHECK) is None
 
     def test_torsion_rule_outranks_gorenstein(self):
         g = with_gorenstein(make_torsion4(), 4, (4, 4, 4))
