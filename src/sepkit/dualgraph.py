@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
+from math import lcm
 from typing import Callable, Iterable
 
 from .errors import (
@@ -31,7 +32,7 @@ from .errors import (
     SelfLoop,
     UnknownId,
 )
-from .exactfield import FieldElement, NumberField
+from .exactfield import FieldElement, NumberField, _lowest
 
 __all__ = [
     "NONDEGENERATE", "SADDLE_NODE", "SN_STRONG_ON_CURVE", "SN_WEAK_ON_CURVE",
@@ -158,19 +159,68 @@ class DualGraph:
         for p, comp in enumerate(components):
             if comp.id in index or comp.id in singularity_ids:
                 raise SchemaError(f"components[{p}]: duplicate id {comp.id!r}")
+            if type(comp.self_intersection) is not int:  # nor is a bool
+                raise SchemaError(f"components[{p}].self_intersection must be an integer")
+            if type(comp.genus) is not int or comp.genus < 0:
+                raise SchemaError(f"components[{p}].genus must be a non-negative integer")
             index[comp.id] = p
-            for j, sing in enumerate(comp.smooth_singularities):
-                fault = (f"duplicate id {sing.id!r}"
-                         if sing.id in index or sing.id in singularity_ids
-                         else _singularity_fault(sing, field))
-                if fault:
-                    raise SchemaError(
-                        f"components[{p}].smooth_singularities[{j}]: {fault}")
-                singularity_ids.add(sing.id)
+            for j, s in enumerate(comp.smooth_singularities):
+                kind, cs = s.kind, s.cs
+                if s.id in index or s.id in singularity_ids:
+                    fault = f"duplicate id {s.id!r}"
+                elif kind not in SMOOTH_KINDS:
+                    fault = f"unknown kind {kind!r}"
+                elif cs is not None and (type(cs) is not FieldElement
+                                         or cs.field is not field and cs.field != field):
+                    fault = "cs must be an element of the graph's field"
+                elif kind == NONDEGENERATE and (cs is None or not any(cs.nums)):
+                    fault = "a nondegenerate singularity needs a nonzero cs"
+                elif kind == SN_STRONG_ON_CURVE and (cs is None or any(cs.nums)):
+                    fault = "the strong side of a saddle-node has index 0"
+                elif kind == NONDEGENERATE and not s.has_transverse_separatrix:
+                    fault = ("a nondegenerate singularity always carries a "
+                             "transverse separatrix")
+                else:
+                    singularity_ids.add(s.id)
+                    continue
+                raise SchemaError(f"components[{p}].smooth_singularities[{j}]: {fault}")
         incidence: list[list[tuple[int, int]]] = [[] for _ in components]
         stored = []  # tail first in component order
         for k, c in enumerate(crossings):
-            tail, head = _ends(c, k, index, field)
+            kind, nondegenerate = c.kind, c.kind == NONDEGENERATE
+            if kind not in CROSSING_KINDS:
+                raise SchemaError(f"crossings[{k}]: unknown kind {kind!r}")
+            # A field of the other kind stands for a key the parser refuses.
+            if (c.weak is not None or c.cs_weak is not None if nondegenerate
+                    else c.cs_tail is not None):
+                unknown = [name for name in ("cs_tail", "cs_weak", "weak")
+                           if name not in _CROSSING_KEYS[kind][1]
+                           and getattr(c, name) is not None]
+                raise SchemaError(f"crossings[{k}]: unknown keys {unknown}")
+            value = c.cs_tail if nondegenerate else c.cs_weak
+            if value is not None and not (type(value) is FieldElement and (
+                    value.field is field or value.field == field)):
+                name = "cs_tail" if nondegenerate else "cs_weak"
+                raise SchemaError(f"crossings[{k}]: {name} must be an element of the "
+                                  "graph's field")
+            tail = None
+            try:
+                tail = index[c.tail]
+                head = index[c.head]
+            except (KeyError, TypeError):  # TypeError: an unhashable endpoint
+                end = c.tail if tail is None else c.head
+                raise UnknownId(f"crossings[{k}]: unknown component id {end!r}") from None
+            if tail == head:
+                raise SelfLoop(f"crossings[{k}]: component {c.tail!r} crosses itself; "
+                               "self-crossings are not representable here, blow up "
+                               "the crossing point first and re-enter the resulting "
+                               "configuration")
+            if nondegenerate and (value is None or not any(value.nums)):
+                raise SchemaError(f"crossings[{k}]: a nondegenerate crossing needs a "
+                                  "nonzero cs_tail")
+            if not nondegenerate and c.weak != c.tail and c.weak != c.head:
+                raise SchemaError(f"crossings[{k}]: weak must name one of the two "
+                                  "endpoints")
             if tail > head:
                 c, tail, head = _flipped(c), head, tail
             stored.append(c)
@@ -204,61 +254,6 @@ class DualGraph:
 
     def has_saddle_node_crossing(self) -> bool:
         return any(c.kind == SADDLE_NODE for c in self.crossings)
-
-
-def _singularity_fault(s: SmoothSingularity, field: NumberField) -> str | None:
-    """What is wrong with the kind, index or separatrix of `s`, if anything."""
-    if s.kind not in SMOOTH_KINDS:
-        return f"unknown kind {s.kind!r}"
-    if s.cs is not None and (type(s.cs) is not FieldElement
-                             or s.cs.field is not field and s.cs.field != field):
-        return "cs must be an element of the graph's field"
-    if s.kind == NONDEGENERATE and (s.cs is None or not any(s.cs.nums)):
-        return "a nondegenerate singularity needs a nonzero cs"
-    if s.kind == SN_STRONG_ON_CURVE and (s.cs is None or any(s.cs.nums)):
-        return "the strong side of a saddle-node has index 0"
-    if s.kind == NONDEGENERATE and not s.has_transverse_separatrix:
-        return "a nondegenerate singularity always carries a transverse separatrix"
-    return None
-
-
-def _ends(c: Crossing, k: int, index: dict[str, int],
-          field: NumberField) -> tuple[int, int]:
-    """The input positions of the tail and head of crossings[k] = `c`, or
-    the error for the first rule it breaks."""
-    if c.kind not in CROSSING_KINDS:
-        raise SchemaError(f"crossings[{k}]: unknown kind {c.kind!r}")
-    # A field of the other kind stands for a key the parser refuses.
-    if (c.weak is not None or c.cs_weak is not None if c.kind == NONDEGENERATE
-            else c.cs_tail is not None):
-        allowed = _CROSSING_KEYS[c.kind][1]
-        unknown = [name for name in ("cs_tail", "cs_weak", "weak")
-                   if name not in allowed and getattr(c, name) is not None]
-        raise SchemaError(f"crossings[{k}]: unknown keys {unknown}")
-    value = c.cs_tail if c.kind == NONDEGENERATE else c.cs_weak
-    if value is not None and (type(value) is not FieldElement
-                              or value.field is not field and value.field != field):
-        name = "cs_tail" if c.kind == NONDEGENERATE else "cs_weak"
-        raise SchemaError(f"crossings[{k}]: {name} must be an element of the "
-                          "graph's field")
-    tail = None
-    try:
-        tail = index[c.tail]
-        head = index[c.head]
-    except (KeyError, TypeError):  # TypeError: an unhashable endpoint
-        end = c.tail if tail is None else c.head
-        raise UnknownId(f"crossings[{k}]: unknown component id {end!r}") from None
-    if tail == head:
-        raise SelfLoop(f"crossings[{k}]: component {c.tail!r} crosses itself; "
-                       "self-crossings are not representable here, blow up the "
-                       "crossing point first and re-enter the resulting configuration")
-    if c.kind == NONDEGENERATE:
-        if value is None or not any(value.nums):
-            raise SchemaError(
-                f"crossings[{k}]: a nondegenerate crossing needs a nonzero cs_tail")
-    elif c.weak != c.tail and c.weak != c.head:
-        raise SchemaError(f"crossings[{k}]: weak must name one of the two endpoints")
-    return tail, head
 
 
 def _flipped(c: Crossing) -> Crossing:
@@ -342,8 +337,10 @@ class Finding:
 # Every position of the input document is read through one of the readers
 # below, so each shape rule is written once and a value of the wrong JSON
 # shape ends in a SchemaError, wherever it stands.  `where` names the
-# position in the messages.  Everything else (ids, kinds, endpoints,
-# indices, gorenstein data) is DualGraph's to check, at the same positions.
+# position in the messages; within a record it is relative to the record,
+# whose position `_records` puts in front only on failure.  Everything else
+# (ids, kinds, endpoints, indices, self-intersections, genera, gorenstein
+# data) is DualGraph's to check, at the same positions.
 
 
 def _keys(required: str, optional: str = "") -> tuple[frozenset, frozenset]:
@@ -360,7 +357,6 @@ _CROSSING_KEYS = dict(zip(CROSSING_KINDS, (
     _keys("tail head kind weak", "cs_weak"),
 )))
 _GORENSTEIN_KEYS = _keys("k a")
-_INTEGER = {None: "an integer", 0: "a non-negative integer"}
 
 
 def _object(value, where: str, keys: tuple[frozenset, frozenset] | None = None) -> dict:
@@ -384,13 +380,6 @@ def _array(value, where: str, nonempty: bool = False) -> list:
     return value
 
 
-def _int(value, where: str, least: int | None = None) -> int:
-    """`value` as a JSON integer (a boolean is not one), at least `least`."""
-    if type(value) is not int or (least is not None and value < least):
-        raise SchemaError(f"{where} must be {_INTEGER[least]}")
-    return value
-
-
 def _bool(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise SchemaError(f"{where} must be a boolean")
@@ -405,29 +394,48 @@ def _id(value, where: str) -> str:
     return value
 
 
-def _parse_smooth_singularity(raw, field: NumberField, where: str) -> SmoothSingularity:
-    obj = _object(raw, where, _SINGULARITY_KEYS)
-    sid, kind = _id(obj["id"], where), obj["kind"]
+def _records(values: list, read, field: NumberField, where: str) -> tuple:
+    """Each record of `values` read by `read`; an error's message gets the
+    record's position `where[i]` in front."""
+    out = []
+    for i, raw in enumerate(values):
+        try:
+            out.append(read(raw, field))
+        except SchemaError as exc:
+            raise type(exc)(f"{where}[{i}]{exc}") from None
+    return tuple(out)
+
+
+def _read_singularity(raw, field: NumberField) -> SmoothSingularity:
+    obj = _object(raw, "", _SINGULARITY_KEYS)
+    sid, kind = _id(obj["id"], ""), obj["kind"]
     try:
         cs = None if obj["cs"] is None else field.parse_element(obj["cs"])
     except BadFieldElement as exc:
-        raise BadFieldElement(f"{where}.cs: {exc}") from None
+        raise BadFieldElement(f".cs: {exc}") from None
     if cs is None and kind == SN_STRONG_ON_CURVE:
         cs = field.zero()  # the strong side's index, when none is given
     # On the weak side cs may stay None: the index is unknown.
     separatrix = _bool(obj.get("separatrix", kind != SN_STRONG_ON_CURVE),
-                       f"{where}.separatrix")
+                       ".separatrix")
     return SmoothSingularity(sid, kind, cs, separatrix)
 
 
-def _parse_crossing(raw, field: NumberField, where: str) -> Crossing:
-    obj = _object(raw, where)
-    kind = obj.get("kind")
+def _read_component(raw, field: NumberField) -> Component:
+    obj = _object(raw, "", _COMPONENT_KEYS)
+    cid = _id(obj["id"], "")
+    sings = _array(obj.get("smooth_singularities", []), ".smooth_singularities")
+    return Component(cid, obj["self_intersection"], obj.get("genus", 0),
+                     _records(sings, _read_singularity, field, ".smooth_singularities"))
+
+
+def _read_crossing(raw, field: NumberField) -> Crossing:
+    kind = raw.get("kind") if isinstance(raw, dict) else None
     if kind not in CROSSING_KINDS:  # no key set to check: DualGraph names it
-        if "kind" not in obj:
-            raise SchemaError(f"{where}: missing keys ['kind']")
-        return Crossing(obj.get("tail"), obj.get("head"), kind)
-    _object(obj, where, _CROSSING_KEYS[kind])
+        if "kind" not in _object(raw, ""):
+            raise SchemaError(": missing keys ['kind']")
+        return Crossing(raw.get("tail"), raw.get("head"), kind)
+    obj = _object(raw, "", _CROSSING_KEYS[kind])
     try:
         if kind == NONDEGENERATE:
             return Crossing(obj["tail"], obj["head"], kind,
@@ -437,40 +445,24 @@ def _parse_crossing(raw, field: NumberField, where: str) -> Crossing:
                         cs_weak=None if cs_weak is None else field.parse_element(cs_weak))
     except BadFieldElement as exc:  # only the index literal can raise it
         name = "cs_tail" if kind == NONDEGENERATE else "cs_weak"
-        raise BadFieldElement(f"{where}.{name}: {exc}") from None
+        raise BadFieldElement(f".{name}: {exc}") from None
 
 
 def graph_from_obj(obj) -> DualGraph:
     """Build a DualGraph from a decoded JSON object."""
     obj = _object(obj, "input", _INPUT_KEYS)
     field = NumberField.from_json(obj["field"])
-
-    components = []
-    for i, raw in enumerate(_array(obj["components"], "components", nonempty=True)):
-        where = f"components[{i}]"
-        raw = _object(raw, where, _COMPONENT_KEYS)
-        cid = _id(raw["id"], where)
-        selfint = _int(raw["self_intersection"], f"{where}.self_intersection")
-        genus = _int(raw.get("genus", 0), f"{where}.genus", least=0)
-        sings_at = f"{where}.smooth_singularities"
-        sings = tuple(
-            _parse_smooth_singularity(sing, field, f"{sings_at}[{j}]")
-            for j, sing in enumerate(_array(raw.get("smooth_singularities", []),
-                                            sings_at))
-        )
-        components.append(Component(cid, selfint, genus, sings))
-
-    crossings = tuple(
-        _parse_crossing(raw, field, f"crossings[{i}]")
-        for i, raw in enumerate(_array(obj["crossings"], "crossings"))
-    )
+    components = _records(_array(obj["components"], "components", nonempty=True),
+                          _read_component, field, "components")
+    crossings = _records(_array(obj["crossings"], "crossings"),
+                         _read_crossing, field, "crossings")
     gorenstein = None
     if obj.get("gorenstein") is not None:
         raw_g = _object(obj["gorenstein"], "gorenstein", _GORENSTEIN_KEYS)
         a = _object(raw_g["a"], "gorenstein.a")
         gorenstein = GorensteinData(raw_g["k"], tuple(a.items()))
     closed_world = _bool(obj.get("closed_world", False), "closed_world")
-    return DualGraph(field, tuple(components), crossings, gorenstein, closed_world)
+    return DualGraph(field, components, crossings, gorenstein, closed_world)
 
 
 def parse_graph(text: str | bytes) -> DualGraph:
@@ -531,19 +523,29 @@ def serialize_graph(g: DualGraph) -> str:
 # Validation
 
 
+def _integer_sum(points, degree: int) -> tuple[list[int], int]:
+    """The sum of the known indices in `points`, (numerators, denominator)
+    pairs or None, as numerators over the lcm of their denominators."""
+    known = [p for p in points if p is not None] if None in points else points
+    den = lcm(*[d for _, d in known])
+    return [sum([nums[i] * (den // d) for nums, d in known]) for i in range(degree)], den
+
+
 def _vertex_sums(field: NumberField, ids, crossings) -> dict[str, list]:
-    """Per component id, over the crossings on it: [sum of the known
-    indices on its side, number of unknown weak indices, crossing count]."""
-    sums = {cid: [field.zero(), 0, 0] for cid in ids}
-    for crossing in crossings:
-        for side in (crossing.tail, crossing.head):
-            entry = sums[side]
-            value = crossing.cs_on(side, field)
-            if value is None:
-                entry[1] += 1
-            else:
-                entry[0] = entry[0] + value
-            entry[2] += 1
+    """Per component id, the index on its side of each crossing on it, as a
+    (numerators, denominator) pair, or None for an unknown weak index."""
+    sums: dict[str, list] = {cid: [] for cid in ids}
+    zero, over_q = ((0,) * field.degree, 1), field.degree == 1
+    for c in crossings:
+        if c.kind == NONDEGENERATE:
+            v, w = c.cs_tail, None if over_q else c.cs_head
+            sums[c.tail].append((v.nums, v.den))
+            # Over Q the head side is den/num: no inverse element is built.
+            sums[c.head].append(((v.den,), v.nums[0]) if w is None else (w.nums, w.den))
+        else:
+            w = c.cs_weak
+            sums[c.weak].append(None if w is None else (w.nums, w.den))
+            sums[c.other(c.weak)].append(zero)
     return sums
 
 
@@ -562,7 +564,7 @@ def validate_indices(g: DualGraph) -> list[Finding]:
     closed, vertex, at_crossings, at_singularities, degrees = [], [], [], [], []
 
     def warn_non_reduced(out: list, value: FieldElement, label: str, cid: str):
-        if value.nums[0] > 0 and not any(value.nums[1:]):
+        if not any(value.nums[1:]):  # the caller saw nums[0] > 0
             out.append(Finding(
                 "warning", "non-reduced-index",
                 f"{label} has index {value}, a positive "
@@ -571,7 +573,7 @@ def validate_indices(g: DualGraph) -> list[Finding]:
             ))
 
     for i, c in enumerate(g.crossings):
-        if c.kind == NONDEGENERATE:
+        if c.kind == NONDEGENERATE and c.cs_tail.nums[0] > 0:
             warn_non_reduced(at_crossings, c.cs_tail,
                              f"crossing {i} ({c.tail}-{c.head})", c.tail)
 
@@ -583,13 +585,10 @@ def validate_indices(g: DualGraph) -> list[Finding]:
                 "smooth-point singularities",
                 comp.id,
             ))
-        total, unknown, count = sums[comp.id]
+        points = sums[comp.id]  # the crossings' indices, then the singularities'
         for sing in comp.smooth_singularities:
-            if sing.cs is None:
-                unknown += 1
-            else:
-                total = total + sing.cs
-            if sing.kind == NONDEGENERATE:
+            points.append(None if sing.cs is None else (sing.cs.nums, sing.cs.den))
+            if sing.kind == NONDEGENERATE and sing.cs.nums[0] > 0:
                 warn_non_reduced(at_singularities, sing.cs,
                                  f"singularity {sing.id}", comp.id)
             if sing.kind == SN_WEAK_ON_CURVE and not sing.has_transverse_separatrix:
@@ -600,27 +599,28 @@ def validate_indices(g: DualGraph) -> list[Finding]:
                     "strong separatrix of a saddle-node always exists",
                     comp.id,
                 ))
-        target = g.field.from_rational(comp.self_intersection)
+        nums, den = _integer_sum(points, g.field.degree)  # elements only for findings
+        si, unknown, z = comp.self_intersection, points.count(None), len(points)
         if unknown:
+            total = _lowest(g.field, nums, den)
             vertex.append(Finding(
                 "warning", "vertex-sum-unverified",
                 f"{comp.id}: {unknown} unknown weak index(es); the known "
                 f"indices sum to {total}, so the unknown ones must add up "
-                f"to {target - total}",
+                f"to {g.field.from_rational(si) - total}",
                 comp.id,
             ))
-        elif total != target:
+        elif nums[0] != si * den or any(nums[1:]):
             vertex.append(Finding(
                 "error", "vertex-sum-mismatch",
-                f"{comp.id}: indices sum to {total}, but the "
-                f"self-intersection is {comp.self_intersection}",
+                f"{comp.id}: indices sum to {_lowest(g.field, nums, den)}, but the "
+                f"self-intersection is {si}",
                 comp.id,
             ))
-        z = count + len(comp.smooth_singularities)
         degrees.append(Finding(
             "info", "component-degree",
             f"{comp.id}: {z} singular point(s); implied normal bundle "
-            f"degree {comp.self_intersection + z}",
+            f"degree {si + z}",
             comp.id,
         ))
 

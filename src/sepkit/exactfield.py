@@ -50,7 +50,12 @@ _CHUNK = 10 ** 600  # chunks of <= 600 digits pass 640, the least int-string lim
 def _read_rational(value) -> tuple[int, int]:
     """Numerator and positive denominator, not necessarily in lowest terms,
     of "p/q" or "p" (surrounding whitespace allowed) or a JSON integer."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    if type(value) is str and len(value) <= 600:  # int() cannot refuse it
+        num, slash, den = value.partition("/")  # isdecimal, not isdigit: int("²") fails
+        if ((num.isdecimal() or num[1:].isdecimal() and num[0] in "+-")
+                and (not slash or den.isdecimal() and "1" <= den[0] <= "9")):
+            return int(num), int(den) if slash else 1
+    elif isinstance(value, int) and not isinstance(value, bool):
         return value, 1
     match = isinstance(value, str) and _RATIONAL_RE.match(value.strip())
     if not match:
@@ -275,6 +280,10 @@ class NumberField:
             raise BadFieldElement(
                 f"field element needs {self.degree} entries, got {len(values)}"
             )
+        if len(values) == 1:  # over Q: one gcd, no list
+            n, d = _read_rational(values[0])
+            g = gcd(n, d)
+            return FieldElement(self, (n // g,), d // g)
         return self._over_lcm([_read_rational(v) for v in values])
 
     def to_json(self) -> dict:
@@ -320,16 +329,30 @@ def _lowest(field: NumberField, nums, den: int) -> "FieldElement":
     return FieldElement(field, tuple(nums), den)
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, unsafe_hash=True, slots=True)  # __setattr__ keeps it immutable
 class FieldElement:
     """An element of a NumberField: coordinates nums[i] / den over the power
     basis, in lowest terms: den > 0 and gcd(den, *nums) == 1, so equal
-    elements have equal nums and den.  Build elements through the field.
-    """
+    elements have equal nums and den.  Build elements through the field;
+    they are immutable, each slot set once by `__init__` through its slot
+    descriptor."""
 
     field: NumberField
     nums: tuple[int, ...]
     den: int
+
+    def __init__(self, field: NumberField, nums: tuple[int, ...], den: int):
+        _set_field(self, field)
+        _set_nums(self, nums)
+        _set_den(self, den)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle through __init__, not setattr
+        return FieldElement, (self.field, self.nums, self.den)
 
     # -- basic queries --------------------------------------------------------
 
@@ -476,6 +499,10 @@ class FieldElement:
         for p in parts[1:]:
             text += " - " + p[1:] if p.startswith("-") else " + " + p
         return text
+
+
+_set_field, _set_nums, _set_den = (
+    FieldElement.__dict__[name].__set__ for name in ("field", "nums", "den"))
 
 
 # ---------------------------------------------------------------------------

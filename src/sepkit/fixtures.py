@@ -25,10 +25,11 @@ from .dualgraph import (
     Crossing,
     DualGraph,
     SmoothSingularity,
+    _integer_sum,
     _vertex_sums,
 )
 from .errors import BadParams
-from .exactfield import NumberField
+from .exactfield import NumberField, _lowest
 
 __all__ = [
     "generate_example", "make_camacho_cycle", "make_p2_cycle",
@@ -39,7 +40,10 @@ __all__ = [
 _RATIONALS = NumberField((Fraction(0),))  # Q itself, as Q[x]/(x)
 
 
-def _pad(field, cid: str, remainder) -> tuple[SmoothSingularity, ...]:
+def _pad(field, cid: str, e: int, points) -> tuple[SmoothSingularity, ...]:
+    """The pad singularity of index e - sum(points), none if that is 0."""
+    nums, den = _integer_sum(points, field.degree)
+    remainder = _lowest(field, [e * den - nums[0]] + [-n for n in nums[1:]], den)
     if remainder.is_zero:
         return ()
     return (SmoothSingularity(f"{cid}:pad", NONDEGENERATE, remainder, True),)
@@ -49,7 +53,7 @@ def _assemble(field, names, self_ints, crossings, sums) -> DualGraph:
     """Attach self-intersections and the pad singularities that balance
     the vertex sums `sums` (from `_vertex_sums`) of the crossings."""
     components = tuple(
-        Component(cid, e, 0, _pad(field, cid, field.from_rational(e) - sums[cid][0]))
+        Component(cid, e, 0, _pad(field, cid, e, sums[cid]))
         for cid, e in zip(names, self_ints)
     )
     return DualGraph(field, components, tuple(crossings))
@@ -242,9 +246,8 @@ def _finish_random(rng, field, names, crossings) -> DualGraph:
     # singularity on every component, so each one declares a separatrix.
     self_ints = []
     for cid in names:
-        total, _, degree = sums[cid]
-        e = -(degree + 1 + rng.randint(0, 2))
-        if field.from_rational(e) == total:
+        e = -(len(sums[cid]) + 1 + rng.randint(0, 2))
+        if not _pad(field, cid, e, sums[cid]):
             e -= 1
         self_ints.append(e)
     return _assemble(field, names, self_ints, crossings, sums)

@@ -295,6 +295,43 @@ def prune_oracle(g: DualGraph) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Camacho-Sad vertex sums, one index at a time in Fractions
+
+
+def vertex_sum_oracle(g: DualGraph) -> dict[str, list]:
+    """Per component id: [the sum of the known indices of the singular
+    points on it, as Fraction coordinates; the number of unknown weak
+    indices; the number of singular points].
+
+    Each index is added on its own in Fractions, and the head side of a
+    nondegenerate crossing is the Euclidean inverse of its tail side, where
+    the package adds integer numerators over one denominator.
+    """
+    zero = (Fraction(0),) * g.field.degree
+    sums = {comp.id: [zero, 0, 0] for comp in g.components}
+
+    def add(cid, coeffs):  # coeffs None: an unknown index
+        entry = sums[cid]
+        entry[2] += 1
+        if coeffs is None:
+            entry[1] += 1
+        else:
+            entry[0] = tuple(x + y for x, y in zip(entry[0], coeffs))
+
+    for c in g.crossings:
+        if c.kind == NONDEGENERATE:
+            add(c.tail, c.cs_tail.coeffs)
+            add(c.head, euclid_inverse(c.cs_tail))
+        else:
+            add(c.weak, None if c.cs_weak is None else c.cs_weak.coeffs)
+            add(c.other(c.weak), zero)
+    for comp in g.components:
+        for sing in comp.smooth_singularities:
+            add(comp.id, None if sing.cs is None else sing.cs.coeffs)
+    return sums
+
+
+# ---------------------------------------------------------------------------
 # The tail-side residue representation
 
 

@@ -18,10 +18,12 @@ from sepkit.dualgraph import (
     NONDEGENERATE,
     GorensteinData,
     graph_to_obj,
+    has_errors,
     parse_graph,
     serialize_graph,
+    validate_indices,
 )
-from sepkit.exactfield import FieldElement
+from sepkit.exactfield import FieldElement, NumberField
 from sepkit.fixtures import (
     make_camacho_cycle,
     make_p2_cycle,
@@ -204,3 +206,20 @@ def test_at_most_one_inverse_per_crossing(inverses, name, orientation, run):
     assert parsed == g
     nondegenerate = sum(c.kind == NONDEGENERATE for c in g.crossings)
     assert inverses["inverse"] <= nondegenerate, (inverses["inverse"], nondegenerate)
+
+
+def test_validating_a_balanced_graph_builds_no_element(monkeypatch):
+    """The vertex sums add integer numerators and compare them with the
+    self-intersection: no element is added or built from a rational unless
+    a finding needs one."""
+    g = make_random_tree(7, 1000, 0.3)
+    counts = Counter()
+    for cls, name in ((FieldElement, "__add__"), (FieldElement, "__init__"),
+                      (NumberField, "from_rational")):
+        def counting(*args, _name=name, _original=getattr(cls, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(cls, name, counting)
+    findings = validate_indices(g)
+    assert not has_errors(findings)
+    assert dict(counts) == {}

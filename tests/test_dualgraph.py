@@ -19,6 +19,7 @@ from sepkit.dualgraph import (
     DualGraph,
     GorensteinData,
     SmoothSingularity,
+    _vertex_sums,
     graph_from_obj,
     graph_to_obj,
     has_errors,
@@ -38,14 +39,17 @@ from sepkit.errors import (
 )
 from sepkit.exactfield import FieldElement, NumberField
 from sepkit.fixtures import (
+    _assemble,
     make_camacho_cycle,
     make_p2_cycle,
+    make_quadratic_chain,
     make_random_graph,
     make_random_tree,
     make_torsion4,
 )
 
-from oracles import shuffled_components
+from oracles import shuffled_components, vertex_sum_oracle
+from test_exactfield import KERNEL_FIELDS, elements
 
 Q_FIELD = {"min_poly": ["0"]}
 QQ = NumberField.from_json(Q_FIELD)
@@ -373,6 +377,39 @@ HAND_BUILT_FAULTS = {
         lambda g: dataclasses.replace(g, crossings=(
             g.crossings[0], Crossing("E2", "E3", NONDEGENERATE, cs_tail=q(0)))),
         SchemaError, "crossings[1]: a nondegenerate crossing needs a nonzero cs_tail",
+    ),
+    "self_intersection_a_string": (
+        lambda obj: obj["components"][1].update(self_intersection="-2"),
+        lambda g: dataclasses.replace(g, components=(
+            g.components[0], dataclasses.replace(g.components[1], self_intersection="-2"),
+            g.components[2])),
+        SchemaError, "components[1].self_intersection must be an integer",
+    ),
+    "self_intersection_a_float": (
+        lambda obj: obj["components"][1].update(self_intersection=-2.0),
+        lambda g: dataclasses.replace(g, components=(
+            g.components[0], dataclasses.replace(g.components[1], self_intersection=-2.0),
+            g.components[2])),
+        SchemaError, "components[1].self_intersection must be an integer",
+    ),
+    "self_intersection_a_boolean": (
+        lambda obj: obj["components"][0].update(self_intersection=True),
+        lambda g: dataclasses.replace(g, components=(
+            dataclasses.replace(g.components[0], self_intersection=True),)
+            + g.components[1:]),
+        SchemaError, "components[0].self_intersection must be an integer",
+    ),
+    "negative_genus": (
+        lambda obj: obj["components"][2].update(genus=-1),
+        lambda g: dataclasses.replace(g, components=g.components[:2] + (
+            dataclasses.replace(g.components[2], genus=-1),)),
+        SchemaError, "components[2].genus must be a non-negative integer",
+    ),
+    "genus_a_boolean": (
+        lambda obj: obj["components"][2].update(genus=False),
+        lambda g: dataclasses.replace(g, components=g.components[:2] + (
+            dataclasses.replace(g.components[2], genus=False),)),
+        SchemaError, "components[2].genus must be a non-negative integer",
     ),
     "duplicate_component_id": (
         lambda obj: obj["components"][2].update(id="E1"),
@@ -749,6 +786,100 @@ class TestValidation:
         info = [f for f in findings_of(g, "component-degree")]
         assert len(info) == 3
         assert "implied normal bundle degree" in info[0].message
+
+
+@st.composite
+def balanced_kernel_graphs(draw):
+    """A random connected graph over a kernel field whose vertex sums the
+    fixtures' pad singularities balance."""
+    field = KERNEL_FIELDS[draw(st.sampled_from(sorted(KERNEL_FIELDS)))]
+    n = draw(st.integers(1, 6))
+    names = [f"E{i}" for i in range(1, n + 1)]
+    nonzero = elements(field).filter(lambda e: not e.is_zero)
+    crossings = []
+    for i in range(2, n + 1):
+        tail, head = f"E{draw(st.integers(1, i - 1))}", f"E{i}"
+        if draw(st.booleans()):
+            crossings.append(Crossing(tail, head, NONDEGENERATE, cs_tail=draw(nonzero)))
+        else:
+            crossings.append(Crossing(tail, head, SADDLE_NODE, weak=draw(
+                st.sampled_from([tail, head])), cs_weak=draw(elements(field))))
+    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+        a, b = sorted(draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
+                                    unique=True)))
+        crossings.append(Crossing(f"E{a}", f"E{b}", NONDEGENERATE, cs_tail=draw(nonzero)))
+    self_ints = draw(st.lists(st.integers(-6, 2), min_size=n, max_size=n))
+    return _assemble(field, names, self_ints, crossings,
+                     _vertex_sums(field, names, crossings))
+
+
+VERTEX_SUM_GRAPHS = st.one_of(
+    balanced_kernel_graphs(),
+    st.builds(make_random_graph, st.integers(0, 10 ** 6), st.integers(2, 9),
+              st.integers(0, 3), st.sampled_from([0.0, 0.5])),
+    st.builds(make_quadratic_chain, st.integers(0, 10 ** 6), st.integers(1, 6)),
+)
+
+
+def oracle_vertex_findings(g) -> list[tuple[str, str, str]]:
+    """(code, component, message) of the vertex-sum and component-degree
+    findings, from the Fraction vertex sums of the oracle."""
+    sums, field = vertex_sum_oracle(g), g.field
+    vertex, degrees = [], []
+    for comp in g.components:
+        total, unknown, points = sums[comp.id]
+        si = comp.self_intersection
+        target = (Fraction(si),) + (Fraction(0),) * (field.degree - 1)
+        if unknown:
+            rest = field.element([t - x for t, x in zip(target, total)])
+            vertex.append(("vertex-sum-unverified", comp.id,
+                           f"{comp.id}: {unknown} unknown weak index(es); the known "
+                           f"indices sum to {field.element(total)}, so the unknown "
+                           f"ones must add up to {rest}"))
+        elif total != target:
+            vertex.append(("vertex-sum-mismatch", comp.id,
+                           f"{comp.id}: indices sum to {field.element(total)}, but "
+                           f"the self-intersection is {si}"))
+        degrees.append(("component-degree", comp.id,
+                        f"{comp.id}: {points} singular point(s); implied normal "
+                        f"bundle degree {si + points}"))
+    return vertex + degrees
+
+
+class TestVertexSumReferee:
+    """validate_indices adds integer numerators over one denominator; the
+    oracle adds Fractions one index at a time and inverts by Euclid."""
+
+    @staticmethod
+    def vertex_findings(g):
+        return [(f.code, f.component, f.message) for f in validate_indices(g)
+                if f.code.startswith("vertex-sum") or f.code == "component-degree"]
+
+    @settings(max_examples=120, deadline=None)
+    @given(VERTEX_SUM_GRAPHS, st.data())
+    def test_one_fault_gives_the_oracles_findings(self, g, data):
+        assert self.vertex_findings(g) == oracle_vertex_findings(g)
+        assert not any(code.startswith("vertex-sum")
+                       for code, _, _ in oracle_vertex_findings(g))
+        p = data.draw(st.integers(0, len(g.components) - 1))
+        comp = g.components[p]
+        fault = data.draw(st.sampled_from(
+            ["self_intersection", "unknown"] + ["irrational"] * (g.field.degree > 1)))
+        if fault == "self_intersection":
+            comp = dataclasses.replace(comp, self_intersection=comp.self_intersection
+                                       + data.draw(st.sampled_from([-1, 1])))
+        else:  # an unknown weak index, or one whose rational part is 0
+            extra = (SmoothSingularity(f"{comp.id}:unknown", SN_WEAK_ON_CURVE, None, True)
+                     if fault == "unknown" else SmoothSingularity(
+                         f"{comp.id}:a", NONDEGENERATE, g.field.alpha(), True))
+            comp = dataclasses.replace(comp, smooth_singularities=(
+                comp.smooth_singularities + (extra,)))
+        faulty = dataclasses.replace(
+            g, components=g.components[:p] + (comp,) + g.components[p + 1:])
+        expected = oracle_vertex_findings(faulty)
+        assert [cid for code, cid, _ in expected if code.startswith("vertex-sum")] == [
+            comp.id]  # the oracle sees the one fault
+        assert self.vertex_findings(faulty) == expected
 
 
 def findings_of(g, code):

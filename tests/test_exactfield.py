@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -13,8 +15,10 @@ from sepkit.errors import (
     ZeroElement,
 )
 from sepkit.exactfield import (
+    _RATIONAL_RE,
     FieldElement,
     NumberField,
+    _read_rational,
     format_rational,
     fraction_free_rank,
     is_root_of_unity,
@@ -324,6 +328,68 @@ class TestReducibleModulus:
             assert u * u.inverse() == self.FIELD.one()
 
 
+def regex_rational(value) -> tuple[int, int]:
+    """The literal grammar by the regex alone, as it was read before the
+    split-and-int fast path: the reference that path must agree with."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
+    match = isinstance(value, str) and _RATIONAL_RE.match(value.strip())
+    if not match:
+        raise BadFieldElement(f"not a rational: {value!r}")
+    try:
+        return int(match[1]), int(match[2] or 1)
+    except ValueError:
+        raise BadFieldElement(
+            f"rational literal too long: {len(match[0])} characters") from None
+
+
+GRAMMAR_EDGES = [
+    "+3", "-0", "3/0", "3/01", "1_0", "1 /2", " 7 ", "١٢", "²", "--1", "",
+    "+", "-", "/", "3/", "/3", "3/-2", "3/+2", "-3/2", "+0/7", "3//2", "3/2/1",
+    "\n5\n", "5\n", "\t-8/9 ", "١/٢", "٣/٠", "٣/٠١", "1/١", "²/3", "3/²", "12a",
+    "9" * 599, "9" * 600, "-" + "9" * 599, "1/" + "9" * 598, "9" * 601,
+    "1" * 4301, "-" + "9" * 4400, "1/" + "7" * 5000, " " + "9" * 600,
+    0, 5, -7, 10 ** 700, True, False, None, 1.5, [], ["1"], {},
+]
+
+
+def _same_as_the_regex(value):
+    try:
+        expected = regex_rational(value)
+    except BadFieldElement as exc:
+        with pytest.raises(BadFieldElement) as caught:
+            _read_rational(value)
+        assert str(caught.value) == str(exc)
+        return
+    num, den = _read_rational(value)
+    assert den > 0 and Fraction(num, den) == Fraction(*expected)
+
+
+class TestLiteralFastPath:
+    """Short literals are read by partition, isdecimal and int; the grammar
+    and its two error messages must stay those of the regex."""
+
+    @pytest.mark.parametrize("value", GRAMMAR_EDGES, ids=repr)
+    def test_edges_agree_with_the_regex(self, value):
+        _same_as_the_regex(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(alphabet="0123456789+-/ _\n١٢٠²", max_size=8),
+                     st.text(max_size=6)))
+    def test_fuzzed_text_agrees_with_the_regex(self, value):
+        _same_as_the_regex(value)
+
+    def test_boundaries(self):
+        assert _read_rational("9" * 600) == (int("9" * 600), 1)
+        assert _read_rational("+3") == (3, 1)
+        assert _read_rational("١٢/3") == (12, 3)
+        with pytest.raises(BadFieldElement, match="too long: 4301 characters"):
+            _read_rational("1" * 4301)
+        for refused in ("²", "1_0", "3/01", True):
+            with pytest.raises(BadFieldElement, match="not a rational"):
+                _read_rational(refused)
+
+
 def is_canonical(e) -> bool:
     return (type(e.nums) is tuple and len(e.nums) == e.field.degree
             and e.den > 0 and gcd(e.den, *e.nums) == 1)
@@ -415,6 +481,14 @@ class TestRepresentation:
 
 
 class TestElementConstruction:
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    def test_copies_and_pickles_are_equal(self, name):
+        field = KERNEL_FIELDS[name]
+        e = field.alpha() + field.from_rational(Fraction(-2, 3))
+        for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert twin == e and hash(twin) == hash(e) and repr(twin) == repr(e)
+        assert copy.deepcopy(field) == field
+
     def test_fractions_are_kept_not_rebuilt(self):
         q = Fraction(-7, 3)
         e = SQRT2.element([q, 2])
