@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import lcm
 from typing import Callable, Iterable
 
 from .errors import (
@@ -32,7 +31,7 @@ from .errors import (
     SelfLoop,
     UnknownId,
 )
-from .exactfield import FieldElement, NumberField, _lowest
+from .exactfield import FieldElement, NumberField, _lowest, _over_lcm
 
 __all__ = [
     "NONDEGENERATE", "SADDLE_NODE", "SN_STRONG_ON_CURVE", "SN_WEAK_ON_CURVE",
@@ -524,11 +523,15 @@ def serialize_graph(g: DualGraph) -> str:
 
 
 def _integer_sum(points, degree: int) -> tuple[list[int], int]:
-    """The sum of the known indices in `points`, (numerators, denominator)
-    pairs or None, as numerators over the lcm of their denominators."""
-    known = [p for p in points if p is not None] if None in points else points
-    den = lcm(*[d for _, d in known])
-    return [sum([nums[i] * (den // d) for nums, d in known]) for i in range(degree)], den
+    """The known indices in `points` (pairs or None) summed over one denominator."""
+    flat, den = _over_lcm([(n, d) for nums, d in filter(None, points) for n in nums])
+    return [sum(flat[i::degree]) for i in range(degree)], den
+
+
+def _shortfall(field: NumberField, e: int, points) -> FieldElement:
+    """e minus the sum of the known indices in `points`, as an element."""
+    nums, den = _integer_sum(points, field.degree)
+    return _lowest(field, [e * den - nums[0]] + [-n for n in nums[1:]], den)
 
 
 def _vertex_sums(field: NumberField, ids, crossings) -> dict[str, list]:
@@ -538,10 +541,12 @@ def _vertex_sums(field: NumberField, ids, crossings) -> dict[str, list]:
     zero, over_q = ((0,) * field.degree, 1), field.degree == 1
     for c in crossings:
         if c.kind == NONDEGENERATE:
-            v, w = c.cs_tail, None if over_q else c.cs_head
+            v = c.cs_tail
             sums[c.tail].append((v.nums, v.den))
-            # Over Q the head side is den/num: no inverse element is built.
-            sums[c.head].append(((v.den,), v.nums[0]) if w is None else (w.nums, w.den))
+            if over_q:  # 1/cs_tail is den/num, sign on top: no inverse element built
+                sums[c.head].append(((v.den if v.nums[0] > 0 else -v.den,), abs(v.nums[0])))
+            else:
+                sums[c.head].append((c.cs_head.nums, c.cs_head.den))
         else:
             w = c.cs_weak
             sums[c.weak].append(None if w is None else (w.nums, w.den))
@@ -602,12 +607,11 @@ def validate_indices(g: DualGraph) -> list[Finding]:
         nums, den = _integer_sum(points, g.field.degree)  # elements only for findings
         si, unknown, z = comp.self_intersection, points.count(None), len(points)
         if unknown:
-            total = _lowest(g.field, nums, den)
             vertex.append(Finding(
                 "warning", "vertex-sum-unverified",
                 f"{comp.id}: {unknown} unknown weak index(es); the known "
-                f"indices sum to {total}, so the unknown ones must add up "
-                f"to {g.field.from_rational(si) - total}",
+                f"indices sum to {_lowest(g.field, nums, den)}, so the unknown "
+                f"ones must add up to {_shortfall(g.field, si, points)}",
                 comp.id,
             ))
         elif nums[0] != si * den or any(nums[1:]):

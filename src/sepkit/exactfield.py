@@ -27,7 +27,6 @@ that equals 1 (`is_root_of_unity`).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -43,29 +42,25 @@ from .errors import (
 
 __all__ = ["FieldElement", "NumberField", "parse_rational", "rational_span_dimension"]
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 _CHUNK = 10 ** 600  # chunks of <= 600 digits pass 640, the least int-string limit
 
 
 def _read_rational(value) -> tuple[int, int]:
     """Numerator and positive denominator, not necessarily in lowest terms,
     of "p/q" or "p" (surrounding whitespace allowed) or a JSON integer."""
-    if type(value) is str and len(value) <= 600:  # int() cannot refuse it
-        num, slash, den = value.partition("/")  # isdecimal, not isdigit: int("²") fails
+    if isinstance(value, str):
+        s = value.strip()
+        num, slash, den = s.partition("/")  # isdecimal, not isdigit: int("²") fails
         if ((num.isdecimal() or num[1:].isdecimal() and num[0] in "+-")
                 and (not slash or den.isdecimal() and "1" <= den[0] <= "9")):
-            return int(num), int(den) if slash else 1
+            try:
+                return int(num), int(den) if slash else 1
+            except ValueError:  # past the interpreter's int-string digit limit
+                raise BadFieldElement(f"rational literal too long: {len(s)} "
+                                      "characters") from None
     elif isinstance(value, int) and not isinstance(value, bool):
         return value, 1
-    match = isinstance(value, str) and _RATIONAL_RE.match(value.strip())
-    if not match:
-        raise BadFieldElement(f"not a rational: {value!r}")
-    try:
-        return int(match[1]), int(match[2] or 1)
-    except ValueError:  # past the interpreter's int-string digit limit
-        raise BadFieldElement(
-            f"rational literal too long: {len(match[0])} characters"
-        ) from None
+    raise BadFieldElement(f"not a rational: {value!r}")
 
 
 def parse_rational(value) -> Fraction:
@@ -248,16 +243,11 @@ class NumberField:
             raise BadFieldElement(
                 f"expected {self.degree} coefficients, got {len(pairs)}"
             )
-        return self._over_lcm(pairs)
+        return _lowest(self, *_over_lcm(pairs))
 
     def from_rational(self, q) -> "FieldElement":
         return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1),
                             q.denominator)
-
-    def _over_lcm(self, pairs: list[tuple[int, int]]) -> "FieldElement":
-        """The element with coordinates n / d, for the (n, d) in pairs."""
-        den = lcm(*[d for _, d in pairs])
-        return _lowest(self, [n * (den // d) for n, d in pairs], den)
 
     def zero(self) -> "FieldElement":
         return self._zero
@@ -280,11 +270,11 @@ class NumberField:
             raise BadFieldElement(
                 f"field element needs {self.degree} entries, got {len(values)}"
             )
-        if len(values) == 1:  # over Q: one gcd, no list
+        if len(values) == 1:  # over Q: one gcd, no common denominator to find
             n, d = _read_rational(values[0])
             g = gcd(n, d)
             return FieldElement(self, (n // g,), d // g)
-        return self._over_lcm([_read_rational(v) for v in values])
+        return _lowest(self, *_over_lcm([_read_rational(v) for v in values]))
 
     def to_json(self) -> dict:
         return {
@@ -316,6 +306,12 @@ class NumberField:
                 f"declared degree {degree} != len(min_poly) = {len(coeffs)}"
             )
         return cls(coeffs)
+
+
+def _over_lcm(pairs) -> tuple[list[int], int]:
+    """Numerators n * (L // d) over L = lcm(d), for the (n, d) in pairs."""
+    den = lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
 
 
 def _lowest(field: NumberField, nums, den: int) -> "FieldElement":

@@ -25,11 +25,11 @@ from .dualgraph import (
     Crossing,
     DualGraph,
     SmoothSingularity,
-    _integer_sum,
+    _shortfall,
     _vertex_sums,
 )
 from .errors import BadParams
-from .exactfield import NumberField, _lowest
+from .exactfield import NumberField
 
 __all__ = [
     "generate_example", "make_camacho_cycle", "make_p2_cycle",
@@ -42,8 +42,7 @@ _RATIONALS = NumberField((Fraction(0),))  # Q itself, as Q[x]/(x)
 
 def _pad(field, cid: str, e: int, points) -> tuple[SmoothSingularity, ...]:
     """The pad singularity of index e - sum(points), none if that is 0."""
-    nums, den = _integer_sum(points, field.degree)
-    remainder = _lowest(field, [e * den - nums[0]] + [-n for n in nums[1:]], den)
+    remainder = _shortfall(field, e, points)
     if remainder.is_zero:
         return ()
     return (SmoothSingularity(f"{cid}:pad", NONDEGENERATE, remainder, True),)
@@ -244,13 +243,14 @@ def _finish_random(rng, field, names, crossings) -> DualGraph:
     # Strict diagonal dominance forces the matrix negative definite; the
     # extra decrement when the sum would balance exactly keeps a pad
     # singularity on every component, so each one declares a separatrix.
-    self_ints = []
+    components = []
     for cid in names:
         e = -(len(sums[cid]) + 1 + rng.randint(0, 2))
-        if not _pad(field, cid, e, sums[cid]):
-            e -= 1
-        self_ints.append(e)
-    return _assemble(field, names, self_ints, crossings, sums)
+        pad = _pad(field, cid, e, sums[cid])
+        if not pad:  # balanced exactly: one less leaves a pad of index -1
+            e, pad = e - 1, _pad(field, cid, e - 1, sums[cid])
+        components.append(Component(cid, e, 0, pad))
+    return DualGraph(field, tuple(components), tuple(crossings))
 
 
 def make_random_tree(seed=0, n: int = 8,

@@ -881,6 +881,18 @@ class TestVertexSumReferee:
             comp.id]  # the oracle sees the one fault
         assert self.vertex_findings(faulty) == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(VERTEX_SUM_GRAPHS)
+    def test_each_side_is_its_index_in_lowest_terms(self, g):
+        """Over Q the head side is read off cs_tail as den/num, with no
+        inverse built; its sign must still sit on the numerator."""
+        expected = {comp.id: [] for comp in g.components}
+        for c in g.crossings:
+            for side in (c.tail, c.head):
+                v = c.cs_on(side, g.field)
+                expected[side].append(None if v is None else (v.nums, v.den))
+        assert _vertex_sums(g.field, list(expected), g.crossings) == expected
+
 
 def findings_of(g, code):
     return [f for f in validate_indices(g) if f.code == code]
