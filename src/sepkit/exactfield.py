@@ -202,17 +202,18 @@ class NumberField:
             tuple(r.numerator * (den // r.denominator) for r in row)
             for row in rows
         ))
-        # m is squarefree iff gcd(m, m') = 1 iff m'(a), of degree d - 1, is
-        # a unit, i.e. its multiplication matrix is nonsingular.
-        derivative = [i * c for i, c in enumerate(coeffs) if i] + [d]
-        try:
-            _solve_unit(self._columns(self.element(derivative).nums))
-        except DivisionByZero:
-            raise InvalidNumberField("minimal polynomial is not squarefree") from None
-        if d > 1 and _has_rational_root(coeffs + (Fraction(1),)):
-            raise InvalidNumberField(
-                "minimal polynomial of degree > 1 has a rational root"
-            )
+        if d > 1:  # x + c0 is squarefree with no root to screen out
+            # m is squarefree iff gcd(m, m') = 1 iff m'(a), of degree d - 1,
+            # is a unit, i.e. its multiplication matrix is nonsingular.
+            derivative = [i * c for i, c in enumerate(coeffs) if i] + [d]
+            try:
+                _solve_unit(self._columns(self.element(derivative).nums))
+            except DivisionByZero:
+                raise InvalidNumberField("minimal polynomial is not squarefree") from None
+            if _has_rational_root(coeffs + (Fraction(1),)):
+                raise InvalidNumberField(
+                    "minimal polynomial of degree > 1 has a rational root"
+                )
         object.__setattr__(self, "_zero", self.from_rational(0))
         object.__setattr__(self, "_one", self.from_rational(1))
 

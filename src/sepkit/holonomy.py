@@ -1,13 +1,21 @@
 """Residue representation of the fundamental group of the dual graph.
 
 Every nondegenerate crossing carries a multiplicative weight: traversed
-tail to head it contributes -1/cs_tail (minus the head-side index), and
-traversed backwards the reciprocal, -cs_tail.  Both indices are read off
-the crossing, so no weight inverts or divides.  Products of weights
-around the fundamental cycles of a deterministic spanning tree classify
-the representation as trivial, torsion, infinite, or indeterminate when
-a saddle-node sits on a cycle and its weight is undefined.  A DualGraph
-is connected by construction, so the spanning tree reaches every component.
+tail to head it contributes -cs_head (minus the head-side index), and
+traversed backwards the reciprocal, -cs_tail.  A saddle-node has none.
+
+Holonomies and residues come from one breadth-first spanning tree, rooted
+at the first component, crossings in input order (a DualGraph is connected).
+Each component has two potentials, kept once computed along its root path:
+phi, the product of the weights down that path, and psi, back up it.  The
+group is abelian, so the cycle that a non-tree crossing c closes, tail t to
+head h, has holonomy -cs_head(c) * phi(t) * psi(h): the potential of a gain
+graph (Gross and Tucker, Topological Graph Theory, ch. 2).  Below a
+saddle-node tree crossing the potentials restart at 1; a component's block
+is the deepest such crossing on its root path, and the cycle crosses a
+saddle-node iff c is one or t and h lie in different blocks.  The holonomies
+classify the representation as trivial, torsion, infinite, or indeterminate
+when one is undefined.  A trivial representation's residues are psi.
 
 Weighing each crossing by minus its tail-side index instead inverts every
 cycle holonomy, so triviality and torsion order never depend on the side.
@@ -15,7 +23,8 @@ cycle holonomy, so triviality and torsion order never depend on the side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 
 from .dualgraph import NONDEGENERATE, DualGraph, _breadth_first
@@ -34,80 +43,87 @@ INFINITE = "infinite"
 INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class CycleStep:
-    """One crossing traversal; forward means tail to head."""
+class _Tree:
+    """The breadth-first spanning tree of a graph and its potentials.
 
-    crossing: int
-    forward: bool
+    Per component position: up, None at the root, else (crossing index,
+    parent position, whether the step up goes tail to head); depth; block,
+    the deepest saddle-node tree crossing on the root path or -1; and phi
+    and psi, each None until computed.  tree and closing list the tree
+    crossings in visiting order and the others in input order.
+    """
 
-    def to_json(self) -> dict:
-        return {"crossing": self.crossing, "forward": self.forward}
+    def __init__(self, g: DualGraph):
+        n, one = len(g.components), g.field.one()
+        self.graph = g
+        self.up: list[tuple[int, int, bool] | None] = [None] * n
+        self.depth, self.block = [0] * n, [-1] * n
+        self.phi: list[FieldElement | None] = [one] + [None] * (n - 1)
+        self.psi = list(self.phi)
+        self.tree: list[int] = []
+        for w, idx, v in _breadth_first(g)[1:]:  # connected: one root, position 0
+            c = g.crossings[idx]
+            self.up[w] = idx, v, g.index[c.tail] == w
+            self.depth[w] = self.depth[v] + 1
+            self.tree.append(idx)
+            if c.kind == NONDEGENERATE:
+                self.block[w] = self.block[v]
+            else:  # the potentials restart below a saddle-node
+                self.block[w] = idx
+                self.phi[w] = self.psi[w] = one
+        in_tree = set(self.tree)
+        self.closing = [i for i in range(len(g.crossings)) if i not in in_tree]
+
+    def potential(self, v: int, down: bool) -> FieldElement:
+        """phi(v) if down, else psi(v), relative to the root of v's block."""
+        memo = self.phi if down else self.psi
+        path = []
+        while memo[v] is None:
+            path.append(v)
+            v = self.up[v][1]
+        p = memo[v]
+        for u in reversed(path):
+            idx, _, up_forward = self.up[u]
+            c = self.graph.crossings[idx]
+            p = memo[u] = p * -(c.cs_head if up_forward != down else c.cs_tail)
+        return p
 
 
 @dataclass(frozen=True)
 class CycleBasis:
     """Spanning-tree data: tree crossing indices plus fundamental cycles.
 
-    Each cycle contains exactly one non-tree crossing, listed first and
-    traversed tail to head; the cycles appear in the order of their
-    non-tree crossings.
+    A cycle is a tuple of (crossing index, forward) steps, forward meaning
+    tail to head.  Its one non-tree crossing comes first, forward; the
+    cycles appear in the order of their non-tree crossings.
     """
 
     root: str
     tree: tuple[int, ...]
-    cycles: tuple[tuple[CycleStep, ...], ...]
+    cycles: tuple[tuple[tuple[int, bool], ...], ...]
 
 
 def cycle_basis(g: DualGraph) -> CycleBasis:
-    """Fundamental cycles of a breadth-first spanning tree.
+    """The fundamental cycles of the breadth-first spanning tree.
 
-    The tree is rooted at the first-listed component and built scanning
-    crossings in input order, which makes the basis deterministic.
+    Each runs along its non-tree crossing, up from its head to the lowest
+    common ancestor of both ends, and down to its tail.
     """
-    n = len(g.components)
-    parent: list[tuple[int, int]] = [(-1, -1)] * n
-    depth = [0] * n
-    tree: list[int] = []
-    for w, idx, v in _breadth_first(g)[1:]:  # connected: one root, position 0
-        parent[w] = (idx, v)
-        depth[w] = depth[v] + 1
-        tree.append(idx)
-    tree_set = set(tree)
-
-    def step_up(v: int) -> tuple[CycleStep, int]:
-        idx, up = parent[v]
-        return CycleStep(idx, g.index[g.crossings[idx].tail] == v), up
-
+    t = _Tree(g)
     cycles = []
-    for idx, crossing in enumerate(g.crossings):
-        if idx in tree_set:
-            continue
-        steps = [CycleStep(idx, True)]
+    for idx in t.closing:
+        crossing = g.crossings[idx]
         u, v = g.index[crossing.head], g.index[crossing.tail]
-        ascent_u: list[CycleStep] = []
-        ascent_v: list[CycleStep] = []
+        ascent, descent = [], []
         while u != v:  # climb the deeper end until both meet
-            if depth[u] >= depth[v]:
-                s, u = step_up(u)
-                ascent_u.append(s)
+            if t.depth[u] >= t.depth[v]:
+                idx_u, u, forward = t.up[u]
+                ascent.append((idx_u, forward))
             else:
-                s, v = step_up(v)
-                ascent_v.append(s)
-        steps.extend(ascent_u)
-        steps.extend(
-            CycleStep(s.crossing, not s.forward) for s in reversed(ascent_v)
-        )
-        cycles.append(tuple(steps))
-    return CycleBasis(g.components[0].id, tuple(tree), tuple(cycles))
-
-
-def edge_weight(g: DualGraph, step: CycleStep) -> FieldElement | None:
-    """Multiplicative weight of one traversal, None across a saddle-node."""
-    crossing = g.crossings[step.crossing]
-    if crossing.kind != NONDEGENERATE:
-        return None
-    return -(crossing.cs_head if step.forward else crossing.cs_tail)
+                idx_v, v, forward = t.up[v]
+                descent.append((idx_v, not forward))
+        cycles.append(((idx, True), *ascent, *reversed(descent)))
+    return CycleBasis(g.components[0].id, tuple(t.tree), tuple(cycles))
 
 
 @dataclass(frozen=True)
@@ -116,20 +132,25 @@ class RepresentationClass:
 
     kind is one of "trivial", "torsion", "infinite", "indeterminate";
     order is the torsion order (lcm of the holonomy orders) when kind is
-    "torsion".  holonomies aligns with basis.cycles and holds None for
-    cycles through a saddle-node; those cycle positions are listed in
-    offending_cycles and force kind "indeterminate".  orders aligns with
-    holonomies and holds each one's multiplicative order, None when it is
-    infinite; it is empty when kind is "indeterminate" and is not part of
-    the JSON.
+    "torsion".  holonomies has one entry per fundamental cycle, in the
+    order of their non-tree crossings, and holds None for cycles through a
+    saddle-node; those cycle positions are listed in offending_cycles and
+    force kind "indeterminate".  orders aligns with holonomies and holds
+    each one's multiplicative order, None when it is infinite; it is empty
+    when kind is "indeterminate" and is not part of the JSON.  basis, the
+    cycles themselves, is built on first use.
     """
 
     kind: str
     order: int | None
     holonomies: tuple[FieldElement | None, ...]
     orders: tuple[int | None, ...]
-    basis: CycleBasis
     offending_cycles: tuple[int, ...]
+    _tree: _Tree = field(repr=False, compare=False)
+
+    @cached_property
+    def basis(self) -> CycleBasis:
+        return cycle_basis(self._tree.graph)
 
     def to_json(self) -> dict:
         return {
@@ -137,7 +158,8 @@ class RepresentationClass:
             "order": self.order,
             "holonomies": [
                 {
-                    "cycle": [s.to_json() for s in cycle],
+                    "cycle": [{"crossing": i, "forward": forward}
+                              for i, forward in cycle],
                     "value": None if h is None else h.to_json(),
                 }
                 for cycle, h in zip(self.basis.cycles, self.holonomies)
@@ -153,21 +175,18 @@ def representation_class(g: DualGraph) -> RepresentationClass:
     holonomy has infinite order, else torsion of the lcm of the orders,
     which is trivial when that lcm is 1.
     """
-    basis = cycle_basis(g)
-    one = g.field.one()
+    tree = _Tree(g)
     holonomies: list[FieldElement | None] = []
-    offending: list[int] = []
-    for pos, cycle in enumerate(basis.cycles):
-        h = one
-        for step in cycle:
-            w = edge_weight(g, step)
-            if w is None:
-                h = None
-                break
-            h = h * w
-        holonomies.append(h)
-        if h is None:
-            offending.append(pos)
+    offending = []
+    for idx in tree.closing:
+        c = g.crossings[idx]
+        t, h = g.index[c.tail], g.index[c.head]
+        if c.kind == NONDEGENERATE and tree.block[t] == tree.block[h]:
+            holonomies.append(
+                -c.cs_head * tree.potential(t, True) * tree.potential(h, False))
+        else:
+            offending.append(len(holonomies))
+            holonomies.append(None)
 
     orders = () if offending else tuple(map(is_root_of_unity, holonomies))
     order = None
@@ -180,9 +199,8 @@ def representation_class(g: DualGraph) -> RepresentationClass:
     else:
         kind, order = TORSION, lcm(*orders)
 
-    return RepresentationClass(
-        kind, order, tuple(holonomies), orders, basis, tuple(offending)
-    )
+    return RepresentationClass(kind, order, tuple(holonomies), orders,
+                               tuple(offending), tree)
 
 
 @dataclass(frozen=True)
@@ -215,12 +233,10 @@ class ResidualDivisor:
 
 
 def residual_divisor(g: DualGraph) -> ResidualDivisor:
-    """Propagate residues over the spanning tree of a trivial representation.
-
-    Requires a trivial representation and no saddle-node crossing anywhere
-    (residue ratios are undefined across saddle-nodes, even on tree edges).
-    Consistency along every non-tree crossing is re-verified.
-    """
+    """psi on every component, given a trivial representation and no
+    saddle-node crossing anywhere (residue ratios are undefined across
+    saddle-nodes, even on tree edges).  Every closing holonomy is then 1,
+    so the residues match across the non-tree crossings too."""
     if g.has_saddle_node_crossing():
         raise SaddleNodePresent(
             "residue propagation is undefined across saddle-node crossings"
@@ -234,31 +250,11 @@ def _propagate_residues(g: DualGraph, rep: RepresentationClass) -> ResidualDivis
         raise NontrivialRepresentation(
             f"residual divisor requires a trivial representation, got {rep.kind}"
         )
-
-    basis = rep.basis
-    residues: dict[str, FieldElement] = {basis.root: g.field.one()}
-    # In BFS order one end of each tree crossing is set; tail/head ratio is -cs_head.
-    for idx in basis.tree:
-        crossing = g.crossings[idx]
-        if crossing.tail in residues:
-            residues[crossing.head] = -crossing.cs_tail * residues[crossing.tail]
-        else:
-            residues[crossing.tail] = -crossing.cs_head * residues[crossing.head]
-
-    for cycle in basis.cycles:
-        idx = cycle[0].crossing
-        crossing = g.crossings[idx]
-        if residues[crossing.tail] != -crossing.cs_head * residues[crossing.head]:
-            raise RuntimeError(
-                "internal error: trivial representation but inconsistent "
-                f"residues across crossing {idx}"
-            )
-
-    sep: list[tuple[str, FieldElement]] = []
-    for comp in g.components:
-        for sing in comp.smooth_singularities:
-            if sing.kind == NONDEGENERATE:
-                sep.append((sing.id, -sing.cs * residues[comp.id]))
-
-    ordered = tuple((c.id, residues[c.id]) for c in g.components)
-    return ResidualDivisor(ordered, tuple(sep))
+    residues = tuple((c.id, rep._tree.potential(v, False))
+                     for v, c in enumerate(g.components))
+    sep = tuple(
+        (sing.id, -sing.cs * r)
+        for comp, (_, r) in zip(g.components, residues)
+        for sing in comp.smooth_singularities if sing.kind == NONDEGENERATE
+    )
+    return ResidualDivisor(residues, sep)

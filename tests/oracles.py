@@ -3,7 +3,8 @@
 These deliberately use different algorithms than the package (plain
 fraction Gaussian elimination instead of fraction-free pivoting, brute
 force forest enumeration instead of union-find, tail-side crossing weights
-instead of head-side ones) so agreement is evidence, not tautology.
+multiplied step by step along each cycle of their own spanning tree instead
+of head-side tree potentials) so agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from sepkit.dualgraph import (
     DualGraph,
 )
 from sepkit.exactfield import NumberField
-from sepkit.holonomy import cycle_basis
 
 
 # ---------------------------------------------------------------------------
@@ -335,33 +335,95 @@ def vertex_sum_oracle(g: DualGraph) -> dict[str, list]:
 # The tail-side residue representation
 
 
-def tail_side_weight(g: DualGraph, step):
-    """Weight of one traversal on the tail side, None across a saddle-node.
+def tail_side_weight(g: DualGraph, crossing: int, forward: bool):
+    """Weight of one traversal of crossing index `crossing` on the tail
+    side, None across a saddle-node.
 
     Each crossing weighs minus its tail-side index going tail to head and
     minus its head-side index going back: the reciprocal of the package's
     head-side weight, so every cycle holonomy comes out inverted.
     """
-    crossing = g.crossings[step.crossing]
-    if crossing.kind == SADDLE_NODE:
+    c = g.crossings[crossing]
+    if c.kind == SADDLE_NODE:
         return None
-    return -(crossing.cs_tail if step.forward else crossing.cs_head)
+    return -(c.cs_tail if forward else c.cs_head)
+
+
+def spanning_parents(g: DualGraph) -> dict:
+    """Breadth-first spanning tree from the first component, neighbours
+    taken in crossing input order: component id -> (crossing index, parent
+    id), None at the root."""
+    around = {c.id: [] for c in g.components}
+    for i, c in enumerate(g.crossings):
+        around[c.tail].append((i, c.head))
+        around[c.head].append((i, c.tail))
+    root = g.components[0].id
+    parent, queue = {root: None}, [root]
+    for v in queue:
+        for i, w in around[v]:
+            if w not in parent:
+                parent[w] = (i, v)
+                queue.append(w)
+    return parent
+
+
+def _root_path(parent: dict, v: str) -> list:
+    """The (crossing index, child, parent) steps from v up to the root."""
+    path = []
+    while parent[v] is not None:
+        i, up = parent[v]
+        path.append((i, v, up))
+        v = up
+    return path
+
+
+def _product(g: DualGraph, steps):
+    """The tail-side weights of (crossing index, forward) steps multiplied
+    in order; None if one of them crosses a saddle-node."""
+    h = g.field.one()
+    for i, forward in steps:
+        w = tail_side_weight(g, i, forward)
+        if w is None:
+            return None
+        h = h * w
+    return h
 
 
 def tail_side_holonomies(g: DualGraph) -> list:
-    """Tail-side holonomy of every cycle of cycle_basis(g), in basis order;
-    None for a cycle through a saddle-node."""
+    """Tail-side holonomy of the fundamental cycle of each crossing outside
+    spanning_parents' tree, in input order; None through a saddle-node.
+
+    The cycle runs tail to head along the crossing, up from the head to the
+    lowest common ancestor (where the two root paths join) and down to the
+    tail: a product along the whole cycle, step by step.
+    """
+    parent = spanning_parents(g)
+    tree = {p[0] for p in parent.values() if p is not None}
     out = []
-    for cycle in cycle_basis(g).cycles:
-        h = g.field.one()
-        for step in cycle:
-            w = tail_side_weight(g, step)
-            if w is None:
-                h = None
-                break
-            h = h * w
-        out.append(h)
+    for i, c in enumerate(g.crossings):
+        if i in tree:
+            continue
+        up, down = _root_path(parent, c.head), _root_path(parent, c.tail)
+        while up and down and up[-1] == down[-1]:  # above the common ancestor
+            up.pop()
+            down.pop()
+        steps = [(i, True)]
+        steps += [(k, g.crossings[k].tail == child) for k, child, _ in up]
+        steps += [(k, g.crossings[k].tail == above)
+                  for k, _, above in reversed(down)]
+        out.append(_product(g, steps))
     return out
+
+
+def root_path_residues(g: DualGraph) -> dict:
+    """Residue of each component id, 1 at the first component: the product
+    of the tail-side weights down its path in spanning_parents' tree."""
+    parent = spanning_parents(g)
+    return {
+        c.id: _product(g, [(k, g.crossings[k].tail == above)
+                           for k, _, above in reversed(_root_path(parent, c.id))])
+        for c in g.components
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepkit import exactfield
 from sepkit.errors import (
     BadFieldElement,
     DivisionByZero,
@@ -129,16 +130,29 @@ class TestNumberField:
 
     def test_rejects_non_squarefree(self):
         # x^2 + 2x + 1 = (x + 1)^2
-        with pytest.raises(InvalidNumberField):
+        with pytest.raises(InvalidNumberField, match="^minimal polynomial is not squarefree$"):
             NumberField((Fraction(1), Fraction(2)))
 
     def test_rejects_rational_root(self):
+        message = "^minimal polynomial of degree > 1 has a rational root$"
         # x^2 - 1 has the root 1
-        with pytest.raises(InvalidNumberField):
+        with pytest.raises(InvalidNumberField, match=message):
             NumberField((Fraction(-1), Fraction(0)))
         # x^2 - x - 2 has the root 2
-        with pytest.raises(InvalidNumberField):
+        with pytest.raises(InvalidNumberField, match=message):
             NumberField((Fraction(-2), Fraction(-1)))
+
+    @pytest.mark.parametrize("c0", [Fraction(0), Fraction(3), Fraction(-7, 2)])
+    def test_degree_one_runs_no_squarefree_solve(self, monkeypatch, c0):
+        # x + c0 is always squarefree, so only degree >= 2 solves for m'(a)^-1.
+        calls = []
+        original = exactfield._solve_unit
+        monkeypatch.setattr(exactfield, "_solve_unit",
+                            lambda cols: calls.append(cols) or original(cols))
+        NumberField((c0,))
+        assert calls == []
+        NumberField((Fraction(-2), Fraction(0)))
+        assert len(calls) == 1
 
     def test_degree_one_is_plain_rationals(self):
         e = QQ.from_rational(Fraction(5, 3))

@@ -13,7 +13,10 @@ from sepkit.dualgraph import (
     Component,
     Crossing,
     DualGraph,
+    _vertex_sums,
     has_errors,
+    parse_graph,
+    serialize_graph,
     validate_indices,
 )
 from sepkit.errors import (
@@ -21,8 +24,9 @@ from sepkit.errors import (
     NontrivialRepresentation,
     SaddleNodePresent,
 )
-from sepkit.exactfield import NumberField, is_root_of_unity
+from sepkit.exactfield import FieldElement, NumberField, is_root_of_unity
 from sepkit.fixtures import (
+    _assemble,
     make_camacho_cycle,
     make_p2_cycle,
     make_quadratic_chain,
@@ -35,9 +39,7 @@ from sepkit.holonomy import (
     INFINITE,
     TORSION,
     TRIVIAL,
-    CycleStep,
     cycle_basis,
-    edge_weight,
     representation_class,
     residual_divisor,
 )
@@ -45,6 +47,7 @@ from sepkit.intersection import divisor_pairing
 
 from oracles import (
     cusp_cycle,
+    root_path_residues,
     shuffled_components,
     tail_side_holonomies,
     tail_side_weight,
@@ -87,9 +90,7 @@ class TestCycleBasis:
         # breadth-first from E1 reaches E2 and E3 directly; the E2-E3
         # crossing closes the single independent cycle
         assert basis.tree == (0, 2)
-        assert basis.cycles == (
-            (CycleStep(1, True), CycleStep(2, False), CycleStep(0, True)),
-        )
+        assert basis.cycles == (((1, True), (2, False), (0, True)),)
 
     def test_cycle_count_matches_first_betti_number(self):
         for seed in range(10):
@@ -147,34 +148,50 @@ class TestCycleBasis:
         basis = cycle_basis(g)
         assert len(basis.tree) == len(b) - 1
         (cycle,) = basis.cycles
-        assert sorted(s.crossing for s in cycle) == list(range(len(b)))
+        assert sorted(i for i, _ in cycle) == list(range(len(b)))
         # a closed walk: each step leaves from where the previous one ended
-        first = g.crossings[cycle[0].crossing]
+        first = g.crossings[cycle[0][0]]
         at = first.head
-        for step in cycle[1:]:
-            c = g.crossings[step.crossing]
-            assert at == (c.tail if step.forward else c.head)
-            at = c.head if step.forward else c.tail
+        for i, forward in cycle[1:]:
+            c = g.crossings[i]
+            assert at == (c.tail if forward else c.head)
+            at = c.head if forward else c.tail
         assert at == first.tail
+
+
+def two_cycle(tree_cs, closing_cs):
+    """E1 and E2 meeting twice: the one cycle runs forward along the second
+    crossing and back along the first, the tree crossing."""
+    return parallel_crossings(QQ, [QQ.from_rational(tree_cs),
+                                   QQ.from_rational(closing_cs)])
 
 
 class TestEdgeWeight:
     def test_head_side_weight(self):
-        g = triangle(-2, -1, -1)
-        w = edge_weight(g, CycleStep(0, True))
-        assert w.rational_value() == Fraction(1, 2)
-        back = edge_weight(g, CycleStep(0, False))
-        assert back.rational_value() == 2
+        # forward, cs_tail = -2 weighs -1/cs_tail = 1/2; back, -1 weighs 1
+        (h,) = representation_class(two_cycle(-1, -2)).holonomies
+        assert h.rational_value() == Fraction(1, 2)
+        # back, cs_tail = -2 weighs -cs_tail = 2; forward, -1 weighs 1
+        (h,) = representation_class(two_cycle(-2, -1)).holonomies
+        assert h.rational_value() == 2
 
     def test_tail_side_weight_is_reciprocal_convention(self):
         g = triangle(-2, -1, -1)
-        w = tail_side_weight(g, CycleStep(0, True))
-        assert w.rational_value() == 2
-        assert w * edge_weight(g, CycleStep(0, True)) == QQ.one()
+        assert tail_side_weight(g, 0, True).rational_value() == 2
+        assert tail_side_weight(g, 0, False).rational_value() == Fraction(1, 2)
+        g = two_cycle(-1, -2)
+        (head,), (tail,) = representation_class(g).holonomies, tail_side_holonomies(g)
+        assert tail.rational_value() == 2
+        assert head * tail == QQ.one()
 
     def test_saddle_node_has_no_weight(self):
         g = triangle(-1, -1, -1, kinds=(SADDLE_NODE,) * 3)
-        assert edge_weight(g, CycleStep(0, True)) is None
+        assert tail_side_weight(g, 0, True) is None
+        # Only the tree crossing E1-E3 is a saddle-node: E2 and E3 lie in
+        # different blocks, so the cycle that E2-E3 closes is undefined.
+        g = triangle(-1, -1, -1, kinds=(NONDEGENERATE, NONDEGENERATE, SADDLE_NODE))
+        rep = representation_class(g)
+        assert (rep.holonomies, rep.offending_cycles) == ((None,), (0,))
 
 
 class TestClassification:
@@ -205,7 +222,7 @@ class TestClassification:
     def test_p2_tail_side_deltas_frozen(self):
         g = make_p2_cycle(2)
         values = [
-            tail_side_weight(g, CycleStep(i, True)).rational_value()
+            tail_side_weight(g, i, True).rational_value()
             for i in range(3)
         ]
         assert values == [2, Fraction(-3, 2), -3]
@@ -232,11 +249,21 @@ class TestClassification:
         assert rep.holonomies == (None,)
 
     def test_saddle_node_off_cycle_harmless(self):
-        # a saddle-node pendant does not obstruct the classification
-        g = make_random_graph(7, n=5, extra_crossings=1,
-                              saddle_node_probability=0.0)
+        # R -sn- A, then the triangle A, B, C: both ends of the closing
+        # crossing B-C sit in the block below the saddle-node.
+        g = DualGraph(
+            QQ,
+            tuple(Component(cid, -2) for cid in "RABC"),
+            (Crossing("R", "A", SADDLE_NODE, weak="R"),
+             Crossing("A", "B", NONDEGENERATE, cs_tail=QQ.from_rational(-2)),
+             Crossing("A", "C", NONDEGENERATE, cs_tail=QQ.from_rational(-3)),
+             Crossing("B", "C", NONDEGENERATE, cs_tail=QQ.from_rational(-5))),
+        )
         rep = representation_class(g)
-        assert rep.kind != INDETERMINATE
+        assert rep.offending_cycles == ()
+        # B -> C weighs -1/cs_tail = 1/5, C -> A weighs -cs_tail = 3 and
+        # A -> B weighs 1/2
+        assert rep.holonomies == (QQ.from_rational(Fraction(3, 10)),)
 
     def test_json_layout(self):
         rep = representation_class(make_torsion4())
@@ -384,12 +411,15 @@ class TestResidualDivisor:
         }
 
     def test_validated_fixtures_stay_consistent(self):
-        # the non-tree crossings are re-checked during propagation; clean
-        # fixtures must never trip the internal consistency error
+        # The residues come from the spanning tree alone; a trivial
+        # representation makes them match across the non-tree crossing too.
         for t in (2, Fraction(-1, 2), 5):
             g = make_p2_cycle(t)
             assert not has_errors(validate_indices(g))
-            residual_divisor(g)
+            R = residual_divisor(g)
+            (closing,) = cycle_basis(g).cycles
+            c = g.crossings[closing[0][0]]
+            assert R.residue(c.tail) == -c.cs_head * R.residue(c.head)
 
 
 def representation_example(seed):
@@ -441,10 +471,120 @@ class TestRepresentationInvariance:
                 if h is None:
                     continue
                 back = g.field.one()
-                for step in reversed(cycle):
-                    back = back * edge_weight(
-                        g, CycleStep(step.crossing, not step.forward)
-                    )
+                for i, forward in reversed(cycle):
+                    # going back, a tail-to-head step weighs -cs_tail
+                    c = g.crossings[i]
+                    back = back * -(c.cs_tail if forward else c.cs_head)
                 assert back * h == g.field.one()
                 checked += 1
         assert checked >= 40
+
+
+# ---------------------------------------------------------------------------
+# Tree potentials against path products along each whole cycle
+
+
+@st.composite
+def saddled_graphs(draw):
+    """A random graph with saddle-node tree crossings, and with some
+    crossings, closing ones included, then turned into saddle-nodes."""
+    g = make_random_graph(draw(st.integers(0, 10 ** 6)), draw(st.integers(2, 12)),
+                          draw(st.integers(0, 4)), draw(st.sampled_from([0.0, 0.3, 0.6])))
+    turned = draw(st.sets(st.integers(0, len(g.crossings) - 1), max_size=2))
+    return dataclasses.replace(g, crossings=tuple(
+        Crossing(c.tail, c.head, SADDLE_NODE, weak=c.head) if i in turned else c
+        for i, c in enumerate(g.crossings)))
+
+
+@st.composite
+def residue_derived_graphs(draw):
+    """Trivial by construction: random residues r over a kernel field, and
+    cs_tail = -r_head / r_tail on the crossings of a random graph."""
+    field = KERNEL_FIELDS[draw(st.sampled_from(sorted(KERNEL_FIELDS)))]
+    shape = make_random_graph(draw(st.integers(0, 10 ** 6)), draw(st.integers(2, 9)),
+                              draw(st.integers(0, 3)))
+    units = elements(field).filter(lambda e: not e.is_zero)
+    r = {c.id: draw(units) for c in shape.components}
+    return DualGraph(
+        field, tuple(Component(c.id, -2) for c in shape.components),
+        tuple(Crossing(c.tail, c.head, NONDEGENERATE, cs_tail=-r[c.head] / r[c.tail])
+              for c in shape.crossings))
+
+
+ORACLE_GRAPHS = st.one_of(
+    st.builds(make_random_graph, st.integers(0, 10 ** 6), st.integers(2, 12),
+              st.integers(0, 4), st.sampled_from([0.0, 0.3, 0.6])),
+    saddled_graphs(),
+    kernel_field_graphs(),
+    residue_derived_graphs(),
+    st.builds(make_p2_cycle, st.fractions(min_value=1, max_value=9, max_denominator=9)),
+    st.builds(make_quadratic_chain, st.integers(0, 99), st.integers(1, 8)),
+    st.sampled_from([make_torsion4(), make_camacho_cycle()[0],
+                     make_random_tree(5, 9, 0.3), make_random_tree(6, 9, 0.0)]),
+)
+
+
+def oracle_kind(holonomies):
+    """(kind, order) from the oracle's own holonomies; an inverse has the
+    same order."""
+    if None in holonomies:
+        return INDETERMINATE, None
+    orders = [unity_order_oracle(h) for h in holonomies]
+    if None in orders:
+        return INFINITE, None
+    return (TRIVIAL, None) if lcm(*orders) == 1 else (TORSION, lcm(*orders))
+
+
+class TestPotentialsAgainstPathProducts:
+    @settings(max_examples=150, deadline=None)
+    @given(ORACLE_GRAPHS)
+    def test_holonomies_kind_and_residues(self, g):
+        rep = representation_class(g)
+        tail = tail_side_holonomies(g)
+        assert len(rep.holonomies) == len(tail) == g.cycle_rank
+        for head, back in zip(rep.holonomies, tail):  # cycle by cycle
+            assert (head is None) == (back is None)
+            assert head is None or head * back == g.field.one()
+        assert rep.offending_cycles == tuple(
+            i for i, h in enumerate(tail) if h is None)
+        assert (rep.kind, rep.order) == oracle_kind(tail)
+        if rep.kind == TRIVIAL and not g.has_saddle_node_crossing():
+            residues = root_path_residues(g)
+            assert residual_divisor(g).residues == tuple(
+                (c.id, residues[c.id]) for c in g.components)
+
+
+def theta_graph(length: int, k: int, seed: int = 0) -> DualGraph:
+    """A root joined to two paths of `length` components whose far ends
+    cross k times: n = 2 length + 1, cycle rank k, and every fundamental
+    cycle 2 length + 1 crossings long.  Indices are drawn from
+    +-{2, 3}/{1, 2, 5}; pad singularities balance the vertex sums."""
+    rng = random.Random(seed)
+    a = [f"A{i}" for i in range(1, length + 1)]
+    b = [f"B{i}" for i in range(1, length + 1)]
+    pairs = ([("R", a[0]), ("R", b[0])] + list(zip(a, a[1:]))
+             + list(zip(b, b[1:])) + [(a[-1], b[-1])] * k)
+    crossings = [
+        Crossing(tail, head, NONDEGENERATE, cs_tail=QQ.from_rational(
+            Fraction(rng.choice([2, 3, -2, -3]), rng.choice([1, 2, 5]))))
+        for tail, head in pairs
+    ]
+    names = ["R"] + a + b
+    return _assemble(QQ, names, [-2] * len(names), crossings,
+                     _vertex_sums(QQ, names, crossings))
+
+
+def test_theta_representation_makes_linear_products(monkeypatch):
+    # A product along every cycle would make k (2L + 1) = 320,400 of them.
+    g = parse_graph(serialize_graph(theta_graph(400, 400)))
+    assert not has_errors(validate_indices(g))
+    n, r, d = len(g.components), g.cycle_rank, g.field.degree
+    assert (n, r) == (801, 400)
+    products = []
+    original = FieldElement.__mul__
+    monkeypatch.setattr(FieldElement, "__mul__",
+                        lambda x, y: products.append(1) or original(x, y))
+    rep = representation_class(g)
+    assert len(rep.holonomies) == r
+    # the potentials, two products per cycle, then each order's walk
+    assert len(products) <= 2 * (n - 1) + 2 * r + 2 * r * d * d
