@@ -20,7 +20,7 @@ from .exactfield import _decimal
 from .fixtures import generate_example
 from .report import (analyze, render_certificate_text, render_finding_text,
                      render_report_text)
-from .verdict import subcurve_criterion, toma_prune, verdict
+from .verdict import _require_valid, subcurve_criterion, toma_prune, verdict
 
 
 def _read_input(path: str | None) -> bytes:
@@ -91,6 +91,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_prune(args) -> int:
     g = parse_graph(_read_input(args.input))
+    _require_valid(g)  # the whole graph, before any selection
     keep = _split_keep(args.keep)
     if keep is not None:
         g = induced_subcurve(g, keep)
@@ -106,15 +107,10 @@ def _cmd_prune(args) -> int:
 def _cmd_verdict(args) -> int:
     g = parse_graph(_read_input(args.input))
     keep = _split_keep(args.keep)
-    try:
-        if keep is not None:
-            certificate = subcurve_criterion(g, keep)
-        else:
-            certificate = verdict(g)
-    except ValidationFailed as exc:
-        _emit_findings(exc.findings, args)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if keep is not None:
+        certificate = subcurve_criterion(g, keep)
+    else:
+        certificate = verdict(g)
     obj = certificate.to_json()
     text = _to_json(obj) if args.format == "json" else render_certificate_text(obj)
     _emit(text, args.output)
@@ -250,6 +246,10 @@ def run_cli(argv=None) -> int:
     except BadParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValidationFailed as exc:
+        _emit_findings(exc.findings, args)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except SepkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

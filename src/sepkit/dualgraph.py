@@ -12,7 +12,9 @@ times); self-crossings are not representable and must be blown up first.
 All index data lives in a single number field declared at the top of the
 input file.  Every DualGraph keeps every structural rule and is connected,
 with at least one component: construction checks both, however the graph
-was made, and builds its incidence once for the one breadth-first walk.
+was made.  Its one breadth-first walk, from the first component with
+crossings in input order, checks connectivity and is kept as the graph's
+spanning tree, which the holonomy layer and toma_prune read.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import (
     BadFieldElement,
@@ -138,10 +140,13 @@ class DualGraph:
     """A connected dual graph that keeps every structural rule: construction
     raises what parsing a document with the same fault raises.  It stores
     crossings tail first and `gorenstein.a`, both in component order, plus
-    `index` (component id -> input position) and `incidence` (position ->
-    the (crossing index, other end's position) pairs there, in crossing
-    input order), which are not fields: equality, hashing and repr ignore
-    them, and `dataclasses.replace` rebuilds them."""
+    `index` (component id -> input position), `incidence` (position -> the
+    (crossing index, other end's position) pairs there, in crossing input
+    order) and `spanning_tree` (the breadth-first tree from position 0,
+    crossings in input order: a (position, crossing index, parent position)
+    triple per other component, in visiting order), which are not fields:
+    equality, hashing and repr ignore them, and `dataclasses.replace`
+    rebuilds them."""
 
     field: NumberField
     components: tuple[Component, ...]
@@ -229,15 +234,21 @@ class DualGraph:
         if self.gorenstein is not None:
             object.__setattr__(self, "gorenstein",
                                _checked_gorenstein(self.gorenstein, components, index))
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "incidence", tuple(map(tuple, incidence)))
-        visits = _breadth_first(self)
-        roots = [i for i, visit in enumerate(visits) if visit[1] is None]
-        if roots[1:]:  # position 0's tree is visits[:roots[1]]
-            missing = [components[p].id for p in sorted(
-                visit[0] for visit in visits[roots[1]:])]
+        reached = [True] + [False] * (len(components) - 1)
+        queue, tree = [0], []
+        for v in queue:
+            for k, w in incidence[v]:
+                if not reached[w]:
+                    reached[w] = True
+                    queue.append(w)
+                    tree.append((w, k, v))
+        if len(queue) < len(components):
+            missing = [comp.id for comp, seen in zip(components, reached) if not seen]
             raise Disconnected("dual graph is not connected; unreachable "
                                f"from {components[0].id!r}: {missing}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "incidence", tuple(map(tuple, incidence)))
+        object.__setattr__(self, "spanning_tree", tuple(tree))
 
     @property
     def cycle_rank(self) -> int:
@@ -285,31 +296,6 @@ def _checked_gorenstein(data: GorensteinData, components: tuple[Component, ...],
             raise SchemaError(f"gorenstein.a[{comp.id!r}] must be an integer")
     a = tuple((comp.id, named[comp.id]) for comp in components)
     return data if a == data.a else GorensteinData(data.k, a)
-
-
-def _breadth_first(g: DualGraph, keep: Callable[[Crossing], bool] | None = None
-                   ) -> list[tuple[int, int | None, int | None]]:
-    """Breadth-first spanning forest over the crossings `keep` accepts (all
-    by default): a (position, crossing index, parent position) triple per
-    component in visiting order.  Each tree is rooted, as (root, None, None),
-    at the first position not yet reached; crossings go in input order."""
-    crossings, incidence = g.crossings, g.incidence
-    reached = [False] * len(incidence)
-    visits: list[tuple[int, int | None, int | None]] = []
-    cursor = 0  # visits[cursor:] is the queue
-    for root in range(len(incidence)):
-        if reached[root]:
-            continue
-        reached[root] = True
-        visits.append((root, None, None))
-        while cursor < len(visits):
-            v = visits[cursor][0]
-            cursor += 1
-            for k, w in incidence[v]:
-                if not reached[w] and (keep is None or keep(crossings[k])):
-                    reached[w] = True
-                    visits.append((w, k, v))
-    return visits
 
 
 @dataclass(frozen=True)

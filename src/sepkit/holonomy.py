@@ -4,13 +4,14 @@ Every nondegenerate crossing carries a multiplicative weight: traversed
 tail to head it contributes -cs_head (minus the head-side index), and
 traversed backwards the reciprocal, -cs_tail.  A saddle-node has none.
 
-Holonomies and residues come from one breadth-first spanning tree, rooted
-at the first component, crossings in input order (a DualGraph is connected).
-Each component has two potentials, kept once computed along its root path:
-phi, the product of the weights down that path, and psi, back up it.  The
-group is abelian, so the cycle that a non-tree crossing c closes, tail t to
-head h, has holonomy -cs_head(c) * phi(t) * psi(h): the potential of a gain
-graph (Gross and Tucker, Topological Graph Theory, ch. 2).  Below a
+Holonomies and residues come from the breadth-first spanning tree that
+construction walked and stored on the graph, rooted at the first component,
+crossings in input order (a DualGraph is connected).  Each component has
+two potentials, kept once computed along its root path: phi, the product
+of the weights down that path, and psi, back up it.  The group is abelian,
+so the cycle that a non-tree crossing c closes, tail t to head h, has
+holonomy -cs_head(c) * phi(t) * psi(h): the potential of a gain graph
+(Gross and Tucker, Topological Graph Theory, ch. 2).  Below a
 saddle-node tree crossing the potentials restart at 1; a component's block
 is the deepest such crossing on its root path, and the cycle crosses a
 saddle-node iff c is one or t and h lie in different blocks.  The holonomies
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 
-from .dualgraph import NONDEGENERATE, DualGraph, _breadth_first
+from .dualgraph import NONDEGENERATE, DualGraph
 from .errors import NontrivialRepresentation, SaddleNodePresent
 from .exactfield import FieldElement, is_root_of_unity
 
@@ -44,7 +45,7 @@ INDETERMINATE = "indeterminate"
 
 
 class _Tree:
-    """The breadth-first spanning tree of a graph and its potentials.
+    """The stored spanning tree of a graph and its potentials.
 
     Per component position: up, None at the root, else (crossing index,
     parent position, whether the step up goes tail to head); depth; block,
@@ -61,7 +62,7 @@ class _Tree:
         self.phi: list[FieldElement | None] = [one] + [None] * (n - 1)
         self.psi = list(self.phi)
         self.tree: list[int] = []
-        for w, idx, v in _breadth_first(g)[1:]:  # connected: one root, position 0
+        for w, idx, v in g.spanning_tree:
             c = g.crossings[idx]
             self.up[w] = idx, v, g.index[c.tail] == w
             self.depth[w] = self.depth[v] + 1

@@ -41,7 +41,6 @@ from .dualgraph import (
     SN_WEAK_ON_CURVE,
     DualGraph,
     SmoothSingularity,
-    _breadth_first,
     has_errors,
     induced_subcurve,
     validate_indices,
@@ -372,15 +371,18 @@ def toma_prune(g: DualGraph) -> tuple[str, ...]:
     exists because n nodes cannot all receive one of n-1 arrows.  Ties are
     broken toward the component containing the earliest-listed vertex.
 
-    A DualGraph is connected, so it is a tree iff its cycle rank is 0.
+    A DualGraph is connected, so it is a tree iff its cycle rank is 0, and
+    then its spanning tree is the whole graph.
     """
     if g.cycle_rank:
         raise NotATree("pruning is defined for tree dual graphs only")
 
-    # Each position's piece is named by its earliest position, the root.
+    # Each position's piece is named by its vertex nearest the root: the
+    # walk reaches a parent before its children.
     piece = list(range(len(g.components)))
-    for p, _, up in _breadth_first(g, lambda c: c.kind != SADDLE_NODE):
-        piece[p] = p if up is None else piece[up]
+    for p, k, up in g.spanning_tree:
+        if g.crossings[k].kind != SADDLE_NODE:
+            piece[p] = piece[up]
     in_degree = [0] * len(piece)
     for crossing in g.crossings:
         if crossing.kind == SADDLE_NODE:

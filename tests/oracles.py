@@ -352,7 +352,7 @@ def tail_side_weight(g: DualGraph, crossing: int, forward: bool):
 def spanning_parents(g: DualGraph) -> dict:
     """Breadth-first spanning tree from the first component, neighbours
     taken in crossing input order: component id -> (crossing index, parent
-    id), None at the root."""
+    id), None at the root, with the ids in visiting order."""
     around = {c.id: [] for c in g.components}
     for i, c in enumerate(g.crossings):
         around[c.tail].append((i, c.head))

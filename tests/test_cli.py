@@ -408,6 +408,27 @@ class TestPrune:
         obj = json.loads(capsys.readouterr().out)
         assert obj == {"kept_components": ["E1", "E2"]}
 
+    @pytest.mark.parametrize("keep", [[], ["--keep", "E2,E3"]])
+    def test_invalid_input_is_refused_like_verdict(self, tmp_path, capsys, keep):
+        # The whole graph is validated, even when the selection leaves out
+        # the faulty component.
+        path = tmp_path / "tree.json"
+        assert run_cli(["example", "random_tree", "--seed", "3", "--n", "6",
+                        "--output", str(path)]) == 0
+        obj = json.loads(path.read_text())
+        obj["components"][0]["self_intersection"] += 1  # E1
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        outputs = []
+        for command in (["verdict"], ["prune", *keep]):
+            rc = run_cli([*command, "--input", str(path), "--format", "text"])
+            outputs.append((rc, *capsys.readouterr()))
+        assert outputs[1] == outputs[0]
+        rc, out, err = outputs[1]
+        assert rc == 1
+        assert "error vertex-sum-mismatch [E1]" in out
+        assert err == "error: 1 validation error(s)\n"
+
     def test_cycle_is_an_error(self, tmp_path, capsys):
         rc = run_cli(["prune", "--input", camacho_path(tmp_path)])
         assert rc == 1

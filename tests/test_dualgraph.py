@@ -48,7 +48,7 @@ from sepkit.fixtures import (
     make_torsion4,
 )
 
-from oracles import shuffled_components, vertex_sum_oracle
+from oracles import shuffled_components, spanning_parents, vertex_sum_oracle
 from test_exactfield import KERNEL_FIELDS, elements
 
 Q_FIELD = {"min_poly": ["0"]}
@@ -1000,6 +1000,9 @@ class TestIncidence:
             assert g.index == {c.id: p for p, c in enumerate(g.components)}
             assert g.incidence == incidence_by_scan(g)
             assert sum(map(len, g.incidence)) == 2 * len(g.crossings)
+            ids = [c.id for c in g.components]
+            assert [(ids[w], k, ids[v]) for w, k, v in g.spanning_tree] == [
+                (w, *up) for w, up in spanning_parents(g).items() if up is not None]
 
     def test_replace_rebuilds_the_incidence(self):
         g = make_random_graph(3, n=6, extra_crossings=2)
@@ -1016,7 +1019,9 @@ class TestIncidence:
         same = dataclasses.replace(g)
         assert same == g and hash(same) == hash(g)
         assert same.incidence == g.incidence
+        assert same.spanning_tree == g.spanning_tree
         assert "incidence" not in repr(g) and "index" not in repr(g)
+        assert "spanning_tree" not in repr(g)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)

@@ -186,6 +186,18 @@ class TestTomaPrune:
                                  saddle_node_probability=0.4)
             assert toma_prune(g) == prune_oracle(g)
 
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_exhaustive_oracle_on_shuffled_trees(self, seed):
+        # make_random_tree attaches each component to an earlier one, so a
+        # piece's vertex nearest the root is also its earliest-listed one;
+        # shuffled, the two differ and the tie-break is really tested.
+        rng = random.Random(seed)
+        g = make_random_tree(seed, n=2 + seed % 15, saddle_node_probability=0.5)
+        for _ in range(3):
+            shuffled = shuffled_components(g, rng)
+            assert toma_prune(shuffled) == prune_oracle(shuffled)
+
     def test_kept_set_has_no_incoming_weak_arrow(self):
         for seed in range(60):
             g = make_random_tree(seed, n=2 + seed % 10,
