@@ -14,7 +14,8 @@ input file.  Every DualGraph keeps every structural rule and is connected,
 with at least one component: construction checks both, however the graph
 was made.  Its one breadth-first walk, from the first component with
 crossings in input order, checks connectivity and is kept as the graph's
-spanning tree, which the holonomy layer and toma_prune read.
+spanning tree, cut at its saddle-node crossings into pieces; the holonomy
+layer and toma_prune read both.
 """
 
 from __future__ import annotations
@@ -142,11 +143,12 @@ class DualGraph:
     crossings tail first and `gorenstein.a`, both in component order, plus
     `index` (component id -> input position), `incidence` (position -> the
     (crossing index, other end's position) pairs there, in crossing input
-    order) and `spanning_tree` (the breadth-first tree from position 0,
+    order), `spanning_tree` (the breadth-first tree from position 0,
     crossings in input order: a (position, crossing index, parent position)
-    triple per other component, in visiting order), which are not fields:
-    equality, hashing and repr ignore them, and `dataclasses.replace`
-    rebuilds them."""
+    triple per other component, in visiting order) and `pieces` (position
+    -> the top of its piece, the tree being cut at its saddle-node
+    crossings), which are not fields: equality, hashing and repr ignore
+    them, and `dataclasses.replace` rebuilds them."""
 
     field: NumberField
     components: tuple[Component, ...]
@@ -235,13 +237,15 @@ class DualGraph:
             object.__setattr__(self, "gorenstein",
                                _checked_gorenstein(self.gorenstein, components, index))
         reached = [True] + [False] * (len(components) - 1)
-        queue, tree = [0], []
+        queue, tree, pieces = [0], [], list(range(len(components)))
         for v in queue:
             for k, w in incidence[v]:
                 if not reached[w]:
                     reached[w] = True
                     queue.append(w)
                     tree.append((w, k, v))
+                    if stored[k].kind == NONDEGENERATE:  # a saddle-node starts a piece
+                        pieces[w] = pieces[v]
         if len(queue) < len(components):
             missing = [comp.id for comp, seen in zip(components, reached) if not seen]
             raise Disconnected("dual graph is not connected; unreachable "
@@ -249,6 +253,7 @@ class DualGraph:
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "incidence", tuple(map(tuple, incidence)))
         object.__setattr__(self, "spanning_tree", tuple(tree))
+        object.__setattr__(self, "pieces", tuple(pieces))
 
     @property
     def cycle_rank(self) -> int:

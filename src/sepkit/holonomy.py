@@ -11,12 +11,12 @@ two potentials, kept once computed along its root path: phi, the product
 of the weights down that path, and psi, back up it.  The group is abelian,
 so the cycle that a non-tree crossing c closes, tail t to head h, has
 holonomy -cs_head(c) * phi(t) * psi(h): the potential of a gain graph
-(Gross and Tucker, Topological Graph Theory, ch. 2).  Below a
-saddle-node tree crossing the potentials restart at 1; a component's block
-is the deepest such crossing on its root path, and the cycle crosses a
-saddle-node iff c is one or t and h lie in different blocks.  The holonomies
-classify the representation as trivial, torsion, infinite, or indeterminate
-when one is undefined.  A trivial representation's residues are psi.
+(Gross and Tucker, Topological Graph Theory, ch. 2).  Construction cut
+the tree at its saddle-node crossings into pieces; the potentials restart
+at 1 at the top of each piece, and the cycle crosses a saddle-node iff c
+is one or t and h lie in different pieces.  The holonomies classify the
+representation as trivial, torsion, infinite, or indeterminate when one
+is undefined.  A trivial representation's residues are psi.
 
 Weighing each crossing by minus its tail-side index instead inverts every
 cycle holonomy, so triviality and torsion order never depend on the side.
@@ -48,35 +48,29 @@ class _Tree:
     """The stored spanning tree of a graph and its potentials.
 
     Per component position: up, None at the root, else (crossing index,
-    parent position, whether the step up goes tail to head); depth; block,
-    the deepest saddle-node tree crossing on the root path or -1; and phi
-    and psi, each None until computed.  tree and closing list the tree
-    crossings in visiting order and the others in input order.
+    parent position, whether the step up goes tail to head); depth; and
+    phi and psi, 1 at the top of each of the graph's pieces and None
+    elsewhere until computed.  closing lists the non-tree crossings in
+    input order.
     """
 
     def __init__(self, g: DualGraph):
         n, one = len(g.components), g.field.one()
         self.graph = g
         self.up: list[tuple[int, int, bool] | None] = [None] * n
-        self.depth, self.block = [0] * n, [-1] * n
-        self.phi: list[FieldElement | None] = [one] + [None] * (n - 1)
+        self.depth = [0] * n
+        self.phi: list[FieldElement | None] = [
+            one if top == v else None for v, top in enumerate(g.pieces)]
         self.psi = list(self.phi)
-        self.tree: list[int] = []
+        in_tree = set()
         for w, idx, v in g.spanning_tree:
-            c = g.crossings[idx]
-            self.up[w] = idx, v, g.index[c.tail] == w
+            self.up[w] = idx, v, w < v  # a crossing is stored tail first
             self.depth[w] = self.depth[v] + 1
-            self.tree.append(idx)
-            if c.kind == NONDEGENERATE:
-                self.block[w] = self.block[v]
-            else:  # the potentials restart below a saddle-node
-                self.block[w] = idx
-                self.phi[w] = self.psi[w] = one
-        in_tree = set(self.tree)
+            in_tree.add(idx)
         self.closing = [i for i in range(len(g.crossings)) if i not in in_tree]
 
     def potential(self, v: int, down: bool) -> FieldElement:
-        """phi(v) if down, else psi(v), relative to the root of v's block."""
+        """phi(v) if down, else psi(v), relative to the top of v's piece."""
         memo = self.phi if down else self.psi
         path = []
         while memo[v] is None:
@@ -88,6 +82,26 @@ class _Tree:
             c = self.graph.crossings[idx]
             p = memo[u] = p * -(c.cs_head if up_forward != down else c.cs_tail)
         return p
+
+    def basis(self) -> CycleBasis:
+        """The fundamental cycles: each runs along its non-tree crossing, up
+        from its head to the lowest common ancestor of both ends, and down
+        to its tail."""
+        g, cycles = self.graph, []
+        for idx in self.closing:
+            crossing = g.crossings[idx]
+            u, v = g.index[crossing.head], g.index[crossing.tail]
+            ascent, descent = [], []
+            while u != v:  # climb the deeper end until both meet
+                if self.depth[u] >= self.depth[v]:
+                    idx_u, u, forward = self.up[u]
+                    ascent.append((idx_u, forward))
+                else:
+                    idx_v, v, forward = self.up[v]
+                    descent.append((idx_v, not forward))
+            cycles.append(((idx, True), *ascent, *reversed(descent)))
+        tree = tuple(idx for _, idx, _ in g.spanning_tree)
+        return CycleBasis(g.components[0].id, tree, tuple(cycles))
 
 
 @dataclass(frozen=True)
@@ -105,26 +119,8 @@ class CycleBasis:
 
 
 def cycle_basis(g: DualGraph) -> CycleBasis:
-    """The fundamental cycles of the breadth-first spanning tree.
-
-    Each runs along its non-tree crossing, up from its head to the lowest
-    common ancestor of both ends, and down to its tail.
-    """
-    t = _Tree(g)
-    cycles = []
-    for idx in t.closing:
-        crossing = g.crossings[idx]
-        u, v = g.index[crossing.head], g.index[crossing.tail]
-        ascent, descent = [], []
-        while u != v:  # climb the deeper end until both meet
-            if t.depth[u] >= t.depth[v]:
-                idx_u, u, forward = t.up[u]
-                ascent.append((idx_u, forward))
-            else:
-                idx_v, v, forward = t.up[v]
-                descent.append((idx_v, not forward))
-        cycles.append(((idx, True), *ascent, *reversed(descent)))
-    return CycleBasis(g.components[0].id, tuple(t.tree), tuple(cycles))
+    """The fundamental cycles of the breadth-first spanning tree."""
+    return _Tree(g).basis()
 
 
 @dataclass(frozen=True)
@@ -151,7 +147,7 @@ class RepresentationClass:
 
     @cached_property
     def basis(self) -> CycleBasis:
-        return cycle_basis(self._tree.graph)
+        return self._tree.basis()
 
     def to_json(self) -> dict:
         return {
@@ -182,7 +178,7 @@ def representation_class(g: DualGraph) -> RepresentationClass:
     for idx in tree.closing:
         c = g.crossings[idx]
         t, h = g.index[c.tail], g.index[c.head]
-        if c.kind == NONDEGENERATE and tree.block[t] == tree.block[h]:
+        if c.kind == NONDEGENERATE and g.pieces[t] == g.pieces[h]:
             holonomies.append(
                 -c.cs_head * tree.potential(t, True) * tree.potential(h, False))
         else:

@@ -362,27 +362,25 @@ def run_check(g: DualGraph, name: str) -> tuple[bool, str]:
 
 
 def toma_prune(g: DualGraph) -> tuple[str, ...]:
-    """Subcurve of a tree that must carry a separatrix.
+    """Subcurve of a tree that no weak separatrix enters.
 
-    Deleting the saddle-node crossings splits the tree into a forest.
-    Each deleted crossing points from the forest component on its strong
-    side to the one on its weak side; a forest component with no incoming
-    arrow contains no weak separatrix, and at least one such component
-    exists because n nodes cannot all receive one of n-1 arrows.  Ties are
-    broken toward the component containing the earliest-listed vertex.
+    This is rule 1's combinatorial step only: it certifies nothing, and it
+    checks neither the input's validity nor that the intersection form is
+    negative definite.  Deleting the saddle-node crossings splits the tree
+    into a forest.  Each deleted crossing points from the forest component
+    on its strong side to the one on its weak side; a forest component
+    with no incoming arrow contains no weak separatrix, and at least one
+    such component exists because n nodes cannot all receive one of n-1
+    arrows.  Ties are broken toward the component containing the
+    earliest-listed vertex.
 
     A DualGraph is connected, so it is a tree iff its cycle rank is 0, and
-    then its spanning tree is the whole graph.
+    then its spanning tree is the whole graph and `g.pieces` its forest.
     """
     if g.cycle_rank:
         raise NotATree("pruning is defined for tree dual graphs only")
 
-    # Each position's piece is named by its vertex nearest the root: the
-    # walk reaches a parent before its children.
-    piece = list(range(len(g.components)))
-    for p, k, up in g.spanning_tree:
-        if g.crossings[k].kind != SADDLE_NODE:
-            piece[p] = piece[up]
+    piece = g.pieces
     in_degree = [0] * len(piece)
     for crossing in g.crossings:
         if crossing.kind == SADDLE_NODE:

@@ -10,6 +10,7 @@ of head-side tree potentials) so agreement is evidence, not tautology.
 from __future__ import annotations
 
 import dataclasses
+import re
 from fractions import Fraction
 
 from sepkit.dualgraph import (
@@ -427,9 +428,9 @@ def root_path_residues(g: DualGraph) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Relabelings: the same configuration in another input order or orientation
-# (crossings_head_first rewrites a document, since a DualGraph stores every
-# crossing tail first in component order)
+# Relabelings: the same configuration in another input order, orientation
+# or naming (the document transforms rewrite a document, since a DualGraph
+# stores every crossing tail first and gorenstein.a in component order)
 
 
 def shuffled_components(g: DualGraph, rng) -> DualGraph:
@@ -452,6 +453,48 @@ def crossings_head_first(doc: dict) -> dict:
                 field.parse_element(c["cs_tail"]))]
         crossings.append(c)
     return dict(doc, crossings=crossings)
+
+
+def ids_renamed(doc: dict) -> tuple[dict, dict]:
+    """A copy of the input document `doc` with every component and
+    singularity id renamed, and the renaming's inverse.  The new ids
+    "R<digits>" reverse the string order of the old ones, so a result that
+    depends on sorting ids changes."""
+    comps = doc["components"]
+    old = sorted([c["id"] for c in comps]
+                 + [s["id"] for c in comps for s in c["smooth_singularities"]])
+    width = len(str(len(old)))
+    new = {cid: f"R{len(old) - 1 - i:0{width}d}" for i, cid in enumerate(old)}
+    components = [
+        dict(c, id=new[c["id"]], smooth_singularities=[
+            dict(s, id=new[s["id"]]) for s in c["smooth_singularities"]])
+        for c in comps
+    ]
+    crossings = []
+    for c in doc["crossings"]:
+        c = dict(c, tail=new[c["tail"]], head=new[c["head"]])
+        if "weak" in c:
+            c["weak"] = new[c["weak"]]
+        crossings.append(c)
+    out = dict(doc, components=components, crossings=crossings)
+    if doc.get("gorenstein") is not None:
+        a = {new[cid]: value for cid, value in doc["gorenstein"]["a"].items()}
+        out["gorenstein"] = dict(doc["gorenstein"], a=a)
+    return out, {v: k for k, v in new.items()}
+
+
+def renaming_undone(text: str, inverse: dict) -> str:
+    """`text` with each whole id that `ids_renamed` made put back."""
+    return re.sub(r"\bR\d+\b", lambda m: inverse.get(m[0], m[0]), text)
+
+
+def gorenstein_reordered(doc: dict) -> dict:
+    """A copy of the input document `doc` with the keys of `gorenstein.a`
+    listed backwards."""
+    if doc.get("gorenstein") is None:
+        return doc
+    a = dict(reversed(doc["gorenstein"]["a"].items()))
+    return dict(doc, gorenstein=dict(doc["gorenstein"], a=a))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ COUNTED = {
     "induced_subcurve": dualgraph.induced_subcurve,
 }
 # Computed by every verdict, analyze and subcurve criterion on a cyclic graph.
-# The cycles themselves are walked only for analyze's report.
+# The cycles themselves are walked only for analyze's report, on the
+# representation's own spanning tree: analyze never calls cycle_basis.
 ALWAYS = ("definiteness", "intersection_matrix", "representation_class")
 
 
@@ -105,7 +106,7 @@ def test_verdict_computes_each_fact_once(calls, name):
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_analyze_computes_each_fact_once(calls, name):
     analyze(GRAPHS[name])
-    _assert_once(calls, extra=("cycle_basis",))
+    _assert_once(calls)
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -127,7 +128,26 @@ def test_verdict_on_a_tree_builds_no_cycle_basis(calls, name):
 @pytest.mark.parametrize("name", sorted(TREES))
 def test_analyze_on_a_tree_computes_each_fact_once(calls, name):
     analyze(TREES[name])
-    _assert_once(calls, extra=("cycle_basis",))
+    _assert_once(calls)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS) + sorted(TREES))
+def test_one_spanning_tree_per_analysis(monkeypatch, name):
+    """analyze builds one holonomy._Tree, and so does a verdict on a cyclic
+    graph; a verdict on a tree builds none."""
+    g = TREES[name] if name in TREES else GRAPHS[name]
+    built, original = [], holonomy._Tree
+
+    def counting(graph):
+        built.append(graph)
+        return original(graph)
+
+    monkeypatch.setattr(holonomy, "_Tree", counting)
+    analyze(g)
+    assert len(built) == 1
+    built.clear()
+    verdict(g)
+    assert len(built) == (0 if name in TREES else 1)
 
 
 def test_run_check_recomputes_on_every_call(calls):

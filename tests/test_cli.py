@@ -44,7 +44,12 @@ from sepkit.verdict import (
     toma_prune,
 )
 
-from oracles import crossings_head_first
+from oracles import (
+    crossings_head_first,
+    gorenstein_reordered,
+    ids_renamed,
+    renaming_undone,
+)
 from test_dualgraph import EVERY_RULE_DOCUMENT, EVERY_RULE_FINDINGS
 from test_verdict import UNBALANCED_SADDLE_NODE
 
@@ -485,6 +490,8 @@ FAMILIES = {
     "camacho": lambda seed: make_camacho_cycle()[0],
     "torsion4": lambda seed: make_torsion4(),
     "p2_cycle": lambda seed: make_p2_cycle(Fraction(1 + seed % 7, 3)),
+    # random_graph's trees (seed % 4 == 0) never have a saddle-node
+    "saddle_node_tree": lambda seed: make_random_tree(seed, 2 + seed % 11, 0.5),
 }
 
 
@@ -536,6 +543,28 @@ class TestOrientationInvariance:
             root, "analyze", flipped, "flipped")
         assert (rc_flipped, err_flipped) == (rc, err)
         assert without_digest(text_flipped) == without_digest(text)
+
+
+class TestRenamingInvariance:
+    """Renaming every component and singularity id, in reverse string order,
+    and listing gorenstein.a backwards change nothing: once the renaming is
+    undone on the output, verdicts keep every byte and analyses every byte
+    but the input digest."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(obj=valid_documents())
+    def test_ids_renamed_and_gorenstein_reordered(self, tmp_path_factory, obj):
+        root = tmp_path_factory.getbasetemp()
+        renamed, inverse = ids_renamed(gorenstein_reordered(obj))
+        for command in ("verdict", "analyze"):
+            rc, text, err = run_to_file(root, command, obj, "given")
+            rc_renamed, text_renamed, err_renamed = run_to_file(
+                root, command, renamed, "renamed")
+            assert (rc_renamed, renaming_undone(err_renamed, inverse)) == (rc, err)
+            text_renamed = renaming_undone(text_renamed, inverse)
+            if command == "analyze":
+                text, text_renamed = without_digest(text), without_digest(text_renamed)
+            assert text_renamed == text
 
 
 def past_digit_limit_path(tmp_path):

@@ -1001,8 +1001,14 @@ class TestIncidence:
             assert g.incidence == incidence_by_scan(g)
             assert sum(map(len, g.incidence)) == 2 * len(g.crossings)
             ids = [c.id for c in g.components]
+            parents = spanning_parents(g)
             assert [(ids[w], k, ids[v]) for w, k, v in g.spanning_tree] == [
-                (w, *up) for w, up in spanning_parents(g).items() if up is not None]
+                (w, *up) for w, up in parents.items() if up is not None]
+            top = {}  # parents come before their children
+            for w, up in parents.items():
+                cut = up is None or g.crossings[up[0]].kind == SADDLE_NODE
+                top[w] = w if cut else top[up[1]]
+            assert [ids[p] for p in g.pieces] == [top[cid] for cid in ids]
 
     def test_replace_rebuilds_the_incidence(self):
         g = make_random_graph(3, n=6, extra_crossings=2)
@@ -1020,8 +1026,9 @@ class TestIncidence:
         assert same == g and hash(same) == hash(g)
         assert same.incidence == g.incidence
         assert same.spanning_tree == g.spanning_tree
+        assert same.pieces == g.pieces
         assert "incidence" not in repr(g) and "index" not in repr(g)
-        assert "spanning_tree" not in repr(g)
+        assert "spanning_tree" not in repr(g) and "pieces" not in repr(g)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
